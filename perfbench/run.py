@@ -124,7 +124,8 @@ def main():
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--inject", choices=("none", "pass", "slow"), default="none",
-                        help="scheduler decorator for the sensitivity self-check")
+                        help="scheduler decorator for the sensitivity self-check "
+                             "(untraced ema-static-n1000 only)")
     args = parser.parse_args()
     if args.seed < 0 or args.seconds <= 0:
         fail("--seed must be >= 0 and --seconds > 0")

@@ -220,55 +220,57 @@ void set_affinity(const std::vector<std::size_t>& cpus) {
 
 }  // namespace
 
-Measured measure(const Options& options, RunResult& result, std::uint64_t stride,
-                 std::size_t block_seeds, int repeats, bool pin,
+Measured measure(const Options& options, RunResult& result, std::uint64_t stride, bool pin,
                  std::uint64_t reference_digest,
                  const std::function<Sample(std::uint64_t seed)>& run_unit) {
-  const std::int64_t deadline = now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
+  const std::int64_t first_pass_end =
+      now_ns() + static_cast<std::int64_t>(options.seconds / kRepeats * 1e9);
   const std::vector<std::size_t> cpus = allowed_cpus();
   pin = pin && cpus.size() > 1;
-  Measured measured;
-  measured.repeats = repeats;
-  ReferenceCheck reference(result, reference_digest);
-  std::vector<Sample> best(block_seeds);
-  for (std::uint64_t block = 0; block == 0 || before(deadline); ++block) {
-    for (int rep = 0; rep < repeats; ++rep) {
-      for (std::size_t j = 0; j < block_seeds; ++j) {
-        const std::uint64_t seed = options.seed + stride * (block * block_seeds + j);
-        // The repetitions of one seed run on distinct CPUs.
-        if (pin) set_affinity({cpus[(block + j + static_cast<std::size_t>(rep)) % cpus.size()]});
-        Sample sample = run_unit(seed);
-        result.attempted += sample.attempted;
-        result.failed += sample.failed;
-        Sample& keep = best[j];
-        if (rep == 0) {
-          keep = std::move(sample);
-          continue;
-        }
-        // Deterministic work: every repetition must reproduce the first.
-        if (sample.digest != keep.digest || sample.op_us.size() != keep.op_us.size()) {
-          ++result.failed;
-          continue;
-        }
-        keep.setup_s = std::min(keep.setup_s, sample.setup_s);
-        for (std::size_t i = 0; i < keep.op_us.size(); ++i) {
-          keep.op_us[i] = std::min(keep.op_us[i], sample.op_us[i]);
-        }
+  std::vector<Sample> best;
+  std::int64_t unit_ns = 0;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    // The first pass decides how many seeds the run covers.
+    for (std::size_t j = 0;
+         rep == 0 ? j == 0 || now_ns() + unit_ns / 2 < first_pass_end : j < best.size(); ++j) {
+      const std::uint64_t seed = options.seed + stride * j;
+      // The repetitions of one seed rotate over the CPUs.
+      if (pin) set_affinity({cpus[(j + static_cast<std::size_t>(rep)) % cpus.size()]});
+      const std::int64_t unit_start = now_ns();
+      Sample sample = run_unit(seed);
+      unit_ns = now_ns() - unit_start;
+      result.attempted += sample.attempted;
+      result.failed += sample.failed;
+      if (rep == 0) {
+        best.push_back(std::move(sample));
+        continue;
       }
-    }
-    for (std::size_t j = 0; j < block_seeds; ++j) {
-      const std::uint64_t seed = options.seed + stride * (block * block_seeds + j);
-      const Sample& keep = best[j];
-      if (block == 0 && j == 0) result.digest("first_unit", keep.digest);
-      reference.offer(seed, keep.digest);
-      measured.op_us.insert(measured.op_us.end(), keep.op_us.begin(), keep.op_us.end());
-      for (const double t : keep.op_us) measured.op_us_sum += t;
-      measured.setup_s.push_back(keep.setup_s);
-      measured.user_slots += keep.user_slots;
-      ++measured.seeds;
+      // Deterministic work: every repetition must reproduce the first.
+      Sample& keep = best[j];
+      if (sample.digest != keep.digest || sample.op_us.size() != keep.op_us.size()) {
+        ++result.failed;
+        continue;
+      }
+      keep.setup_s = std::min(keep.setup_s, sample.setup_s);
+      for (std::size_t i = 0; i < keep.op_us.size(); ++i) {
+        keep.op_us[i] = std::min(keep.op_us[i], sample.op_us[i]);
+      }
     }
   }
   if (pin) set_affinity(cpus);
+
+  Measured measured;
+  ReferenceCheck reference(result, reference_digest);
+  result.digest("first_unit", best.front().digest);
+  for (std::size_t j = 0; j < best.size(); ++j) {
+    const Sample& keep = best[j];
+    reference.offer(options.seed + stride * j, keep.digest);
+    measured.op_us.insert(measured.op_us.end(), keep.op_us.begin(), keep.op_us.end());
+    for (const double t : keep.op_us) measured.op_us_sum += t;
+    measured.setup_s.push_back(keep.setup_s);
+    measured.user_slots += keep.user_slots;
+    ++measured.seeds;
+  }
   if (!reference.done()) {
     const Sample sample = run_unit(kDefaultSeed);
     result.attempted += sample.attempted;
@@ -295,7 +297,43 @@ void emit_end_to_end(RunResult& result, const Measured& measured, double tail_q,
                 percentile(measured.op_us, 0.99), percentile(measured.op_us, 0.999));
   result.note("op_percentiles_us", spread);
   result.note("seeds", std::to_string(measured.seeds));
-  result.note("repeats", std::to_string(measured.repeats));
+  result.note("repeats", std::to_string(kRepeats));
+}
+
+std::vector<double> measure_traced(const Options& options, RunResult& result,
+                                   std::uint64_t stride, std::uint64_t reference_digest,
+                                   const std::vector<Variant>& variants,
+                                   const SpanBuffer& spans) {
+  const std::int64_t deadline = now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
+  ReferenceCheck reference(result, reference_digest);
+  std::vector<double> op_ns(variants.size(), 0.0);
+  std::vector<std::uint64_t> digests(variants.size(), 0);
+  for (std::uint64_t k = 0; k == 0 || before(deadline); ++k) {
+    const std::uint64_t seed = options.seed + stride * k;
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      const std::size_t variant = (v + k) % variants.size();
+      const VariantRun run = variants[variant](seed, k == 0);
+      op_ns[variant] += run.op_ns;
+      digests[variant] = run.digest;
+      result.attempted += run.attempted;
+      result.failed += run.failed;
+    }
+    // No observation may change what the program computes.
+    for (const std::uint64_t digest : digests) {
+      if (digest != digests[0]) ++result.failed;
+    }
+    if (k == 0) result.digest("first_unit", digests[0]);
+    reference.offer(seed, digests[0]);
+  }
+  if (!reference.done()) {
+    const VariantRun run = variants[0](kDefaultSeed, false);
+    result.attempted += run.attempted;
+    result.failed += run.failed;
+    reference.offer(kDefaultSeed, run.digest);
+  }
+  result.note("spans_dropped", std::to_string(spans.dropped()));
+  if (spans.enabled()) spans.write_chrome_json(options.span_out);
+  return op_ns;
 }
 
 // ---------------------------------------------------------------------------

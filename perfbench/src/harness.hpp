@@ -204,29 +204,72 @@ struct Measured {
   double user_slots = 0.0;
   double op_us_sum = 0.0;
   std::int64_t seeds = 0;
-  int repeats = 0;
 };
 
-/// Untraced measurement loop shared by the workloads. A closed loop over
-/// blocks of `block_seeds` consecutive seeds (seed, seed + stride, ...):
-/// within a block each seed runs `repeats` times, round-robin, and every op
-/// keeps the minimum of its repetitions. With `pin`, the repetitions of a
-/// seed run pinned to distinct CPUs. The work is deterministic, so the
-/// repetitions differ only in interference from other tenants of a shared
-/// host (which slows one vCPU at a time by up to ~1.8x for seconds on end);
-/// the minimum strips it. New blocks start until `options.seconds` have
-/// passed. Repetitions must agree on the digest; the unit of kDefaultSeed
+/// How many times the untraced loop runs each seed. On a shared host most
+/// repetitions of a unit can be slowed by 1.1-1.8x, for stretches of tens of
+/// ops or for the whole unit, so a tail percentile of the per-op minimum
+/// settles only with many repetitions (C's p95 over eight 25 s runs in one
+/// noisy stretch spread 0.47 as single runs, 0.27 as the minimum of five,
+/// 0.04 as the minimum of ten).
+inline constexpr int kRepeats = 10;
+
+/// Untraced measurement loop shared by the workloads: kRepeats closed-loop
+/// passes over the seeds seed, seed + stride, ... The first pass runs new
+/// seeds while the next one would end nearer to options.seconds / kRepeats
+/// than stopping would (a unit is predicted to last as long as the one
+/// before), which fixes the run's seeds; each later pass runs the same seeds
+/// again, and every op keeps the minimum of its repetitions. With `pin`,
+/// each repetition runs pinned to one CPU, and a seed's repetitions rotate
+/// over the CPUs. The work is deterministic, so the repetitions differ only
+/// in interference from other tenants of a shared host, which slows a vCPU
+/// by up to ~1.8x for stretches of up to seconds; the repetitions of a seed
+/// lie a pass apart, so one stretch rarely covers them all, and the minimum
+/// strips it. Repetitions must agree on the digest; the unit of kDefaultSeed
 /// must match `reference_digest` (it is run once more at the end when the
-/// loop did not cover it).
-Measured measure(const Options& options, RunResult& result, std::uint64_t stride,
-                 std::size_t block_seeds, int repeats, bool pin,
+/// run's seeds did not cover it).
+Measured measure(const Options& options, RunResult& result, std::uint64_t stride, bool pin,
                  std::uint64_t reference_digest,
                  const std::function<Sample(std::uint64_t seed)>& run_unit);
 
 /// Emits the five end-to-end metrics from a Measured loop; `tail_q` is the
-/// workload's tail percentile (the highest with >= 10 samples beyond it).
+/// workload's tail percentile: one with >= 10 samples beyond it, and not on
+/// the edge of a sparse population of slow ops, where seed and host move it
+/// most (see README.md).
 void emit_end_to_end(RunResult& result, const Measured& measured, double tail_q,
                      bool rss_children);
+
+/// One variant's pass over one seed in a traced run.
+struct VariantRun {
+  std::uint64_t digest = 0;
+  double op_ns = 0.0;  ///< host time of the variant's measured ops
+  std::int64_t attempted = 0;
+  std::int64_t failed = 0;
+};
+
+/// Runs one variant on `seed`; `first` is true for the run's first seed,
+/// where the workload reads its exact per-seed counts.
+using Variant = std::function<VariantRun(std::uint64_t seed, bool first)>;
+
+/// Traced measurement loop shared by the workloads. A closed loop over seeds
+/// (seed, seed + stride, ...) that runs every variant once per seed, in an
+/// order rotating from seed to seed, so each variant sees the same work and
+/// the same share of host interference. variants[0] is the unobserved
+/// program; it must only return its VariantRun, because it also reruns the
+/// default seed at the end when the loop did not cover it. Seeds start until
+/// `options.seconds` have passed. All variants of a seed must agree on the
+/// digest, and the unit of kDefaultSeed must match `reference_digest`. At
+/// the end `spans` is written to `options.span_out` (when enabled). Returns
+/// each variant's summed op_ns, in variant order.
+std::vector<double> measure_traced(const Options& options, RunResult& result,
+                                   std::uint64_t stride, std::uint64_t reference_digest,
+                                   const std::vector<Variant>& variants,
+                                   const SpanBuffer& spans);
+
+/// The span buffer of a traced run: preallocated when spans are written out.
+[[nodiscard]] inline std::size_t span_capacity(const Options& options) {
+  return options.span_out.empty() ? 0 : 400000;
+}
 
 /// Per-layer counters read from the telemetry registry (exact, per unit).
 struct RegistryCounts {

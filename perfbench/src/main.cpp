@@ -137,6 +137,10 @@ int main(int argc, char** argv) {
   }
   if (!have_workload) usage("--workload is required");
   if (!(options.seconds > 0.0)) usage("--seconds must be positive");
+  if (options.inject != perfbench::Inject::kNone &&
+      (options.workload != "ema-static-n1000" || options.trace)) {
+    usage("--inject is only for the untraced ema-static-n1000 self-check");
+  }
 
   for (const auto& workload : kWorkloads) {
     if (options.workload != workload.name) continue;

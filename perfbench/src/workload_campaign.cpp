@@ -9,9 +9,9 @@
 // fork / result-frame / merge path runs once per operation.
 //
 // The traced run replays each operation in-process, layer by layer: trace
-// generation per seed, every cell through Simulator with a timed scheduler,
-// the in-process run_campaign (whose digest must equal the distributed
-// merge), and the result-frame encode/decode.
+// generation per seed, every cell through Simulator with and without a
+// timed scheduler, and the in-process run_campaign followed by the
+// result-frame encode/decode. Each must reproduce the distributed merge.
 #include <memory>
 #include <vector>
 
@@ -107,8 +107,8 @@ Op run_distributed(std::uint64_t seed) {
 std::vector<jstream::RunMetrics> replay_cells(
     const std::vector<jstream::ExperimentSpec>& specs,
     const std::vector<std::shared_ptr<const jstream::SignalTraceSet>>& traces, CallLog* log,
-    SpanBuffer* spans, std::int64_t parent, std::vector<double>* cell_ms,
-    std::vector<double>* solve_us, double* solve_ns_sum, double* wall_ns) {
+    SpanBuffer* spans, std::vector<double>* cell_ms, std::vector<double>* solve_us,
+    double* solve_ns_sum, double* wall_ns) {
   std::vector<jstream::RunMetrics> results;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const jstream::ExperimentSpec& spec = specs[i];
@@ -126,7 +126,7 @@ std::vector<jstream::RunMetrics> replay_cells(
     if (cell_ms != nullptr) cell_ms->push_back(static_cast<double>(end - start) / 1e6);
     if (log == nullptr) continue;
     const std::int64_t cell_span =
-        spans != nullptr ? spans->add(SpanBuffer::kCell, parent, start, end) : -1;
+        spans != nullptr ? spans->add(SpanBuffer::kCell, -1, start, end) : -1;
     for (std::size_t c = 0; c < log->count; ++c) {
       const double ns = static_cast<double>(log->end[c] - log->start[c]);
       *solve_ns_sum += ns;
@@ -137,13 +137,17 @@ std::vector<jstream::RunMetrics> replay_cells(
   return results;
 }
 
+std::uint64_t digest_of(const std::vector<jstream::RunMetrics>& results) {
+  return jstream::metrics_digest(std::span<const jstream::RunMetrics>(results));
+}
+
 }  // namespace
 
 RunResult run_campaign_baselines(const Options& options) {
   RunResult result;
   if (!options.trace) {
     const Measured measured = measure(
-        options, result, kSeedsPerOp, 4, 5, false, kReferenceDigest, [](std::uint64_t seed) {
+        options, result, kSeedsPerOp, false, kReferenceDigest, [](std::uint64_t seed) {
           const Op op = run_distributed(seed);
           Sample sample;
           sample.op_us.push_back(static_cast<double>(op.wall_ns) / 1e3);
@@ -159,9 +163,9 @@ RunResult run_campaign_baselines(const Options& options) {
     return result;
   }
 
-  const std::int64_t deadline = now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
-  ReferenceCheck reference(result, kReferenceDigest);
-  SpanBuffer spans(options.span_out.empty() ? 0 : 400000);
+  // Traced run: the distributed operation, the serial replay with and
+  // without the decorator, and the in-process engine plus frame codec.
+  SpanBuffer spans(span_capacity(options));
   SpanBuffer* span_ptr = spans.enabled() ? &spans : nullptr;
   CallLog log(20000);
   std::vector<double> trace_gen_ms;
@@ -169,84 +173,86 @@ RunResult run_campaign_baselines(const Options& options) {
   std::vector<double> solve_us;
   std::vector<double> codec_ms;
   double solve_ns_sum = 0.0;
-  double traced_ns = 0.0;
-  double plain_ns = 0.0;
   std::vector<std::pair<std::string, double>> layer;
-  for (std::uint64_t k = 0; k == 0 || before(deadline); ++k) {
-    const std::uint64_t seed = options.seed + kSeedsPerOp * k;
-    const std::vector<jstream::ExperimentSpec> specs = make_specs(seed);
-    const Op distributed = run_distributed(seed);
-    result.attempted += distributed.cells;
-    result.failed += distributed.failed;
-    reference.offer(seed, distributed.digest);
-    if (k == 0) result.digest("first_unit", distributed.digest);
-
-    const std::int64_t op_start = now_ns();
-    const std::int64_t parent =
-        span_ptr != nullptr ? span_ptr->add(SpanBuffer::kCampaign, -1, op_start, op_start)
-                            : -1;
-    // Radio layer: one trace per seed of the operation.
-    std::vector<std::shared_ptr<const jstream::SignalTraceSet>> traces;
+  // Radio layer: one trace per seed of the operation, generated by whichever
+  // replay runs first on the operation and shared by both.
+  std::uint64_t traces_seed = 0;
+  std::vector<std::shared_ptr<const jstream::SignalTraceSet>> traces;
+  const auto traces_for = [&](std::uint64_t seed,
+                              const std::vector<jstream::ExperimentSpec>& specs) {
+    if (!traces.empty() && traces_seed == seed) return;
+    traces.clear();
+    traces_seed = seed;
     for (std::size_t s = 0; s < kSeedsPerOp; ++s) {
       const std::int64_t start = now_ns();
       traces.push_back(jstream::generate_signal_trace_set(
           specs[s * (specs.size() / kSeedsPerOp)].scenario));
       const std::int64_t end = now_ns();
       trace_gen_ms.push_back(static_cast<double>(end - start) / 1e6);
-      if (span_ptr != nullptr) span_ptr->add(SpanBuffer::kTraceGen, parent, start, end);
+      if (span_ptr != nullptr) span_ptr->add(SpanBuffer::kTraceGen, -1, start, end);
     }
-    // Cells, traced and untraced in alternating order over the same traces.
-    std::vector<jstream::RunMetrics> traced;
-    std::vector<jstream::RunMetrics> plain;
-    for (int pass = 0; pass < 2; ++pass) {
-      if ((pass + static_cast<int>(k)) % 2 == 0) {
-        traced = replay_cells(specs, traces, &log, span_ptr, parent, &cell_ms, &solve_us,
-                              &solve_ns_sum, &traced_ns);
-      } else {
-        double unused = 0.0;
-        plain = replay_cells(specs, traces, nullptr, nullptr, -1, nullptr, nullptr, &unused,
-                             &plain_ns);
-      }
-    }
-    // The in-process engine over a fresh private cache.
-    jstream::TraceCache cache;
-    jstream::CampaignOptions campaign;
-    campaign.threads = kThreadsPerProcess;
-    campaign.cache = &cache;
-    const std::vector<jstream::RunMetrics> in_process = jstream::run_campaign(specs, campaign);
-    // Result frames: the canonical encoding the workers ship to the parent.
-    const std::int64_t codec_start = now_ns();
-    jstream::ByteWriter writer;
-    for (const jstream::RunMetrics& r : in_process) jstream::encode_run_metrics(writer, r);
-    jstream::ByteReader reader(writer.bytes());
-    std::vector<jstream::RunMetrics> decoded;
-    for (std::size_t i = 0; i < in_process.size(); ++i) {
-      decoded.push_back(jstream::decode_run_metrics(reader));
-    }
-    reader.finish();
-    const std::int64_t codec_end = now_ns();
-    codec_ms.push_back(static_cast<double>(codec_end - codec_start) / 1e6);
-    if (span_ptr != nullptr) {
-      span_ptr->add(SpanBuffer::kCodec, parent, codec_start, codec_end);
-      span_ptr->close(parent, codec_end);
-    }
-
-    const auto digest_of = [](const std::vector<jstream::RunMetrics>& r) {
-      return jstream::metrics_digest(std::span<const jstream::RunMetrics>(r));
-    };
-    // Every path must reproduce the distributed merge bit for bit.
-    const std::vector<jstream::RunMetrics>* paths[] = {&traced, &plain, &in_process,
-                                                       &decoded};
-    for (const auto* path : paths) {
-      ++result.attempted;
-      if (digest_of(*path) != distributed.digest) ++result.failed;
-    }
-    if (k == 0) {
-      layer.emplace_back("trace_cache.generations", static_cast<double>(cache.generations()));
-      layer.emplace_back("trace_cache.hits", static_cast<double>(cache.hits()));
-      layer.emplace_back("distrib.frame_bytes", static_cast<double>(writer.bytes().size()));
-    }
-  }
+  };
+  const auto replay = [&](std::uint64_t seed, bool traced) {
+    const std::vector<jstream::ExperimentSpec> specs = make_specs(seed);
+    traces_for(seed, specs);
+    double wall_ns = 0.0;
+    double unused = 0.0;
+    const std::vector<jstream::RunMetrics> results =
+        traced ? replay_cells(specs, traces, &log, span_ptr, &cell_ms, &solve_us,
+                              &solve_ns_sum, &wall_ns)
+               : replay_cells(specs, traces, nullptr, nullptr, nullptr, nullptr, &unused,
+                              &wall_ns);
+    return VariantRun{digest_of(results), wall_ns, static_cast<std::int64_t>(specs.size()),
+                      count_bad_cells(specs, results)};
+  };
+  const std::vector<Variant> variants = {
+      [](std::uint64_t seed, bool) {
+        const Op op = run_distributed(seed);
+        return VariantRun{op.digest, static_cast<double>(op.wall_ns), op.cells, op.failed};
+      },
+      [&](std::uint64_t seed, bool) { return replay(seed, true); },
+      [&](std::uint64_t seed, bool) { return replay(seed, false); },
+      [&](std::uint64_t seed, bool first) {
+        // The in-process engine over a fresh private cache.
+        const std::vector<jstream::ExperimentSpec> specs = make_specs(seed);
+        jstream::TraceCache cache;
+        jstream::CampaignOptions campaign;
+        campaign.threads = kThreadsPerProcess;
+        campaign.cache = &cache;
+        const std::int64_t start = now_ns();
+        const std::vector<jstream::RunMetrics> in_process =
+            jstream::run_campaign(specs, campaign);
+        const std::int64_t end = now_ns();
+        // Result frames: the canonical encoding the workers ship to the parent.
+        jstream::ByteWriter writer;
+        for (const jstream::RunMetrics& r : in_process) jstream::encode_run_metrics(writer, r);
+        jstream::ByteReader reader(writer.bytes());
+        std::vector<jstream::RunMetrics> decoded;
+        for (std::size_t i = 0; i < in_process.size(); ++i) {
+          decoded.push_back(jstream::decode_run_metrics(reader));
+        }
+        reader.finish();
+        const std::int64_t codec_end = now_ns();
+        codec_ms.push_back(static_cast<double>(codec_end - end) / 1e6);
+        if (span_ptr != nullptr) {
+          span_ptr->add(SpanBuffer::kCampaign, -1, start, end);
+          span_ptr->add(SpanBuffer::kCodec, -1, end, codec_end);
+        }
+        if (first) {
+          layer.emplace_back("trace_cache.generations",
+                             static_cast<double>(cache.generations()));
+          layer.emplace_back("trace_cache.hits", static_cast<double>(cache.hits()));
+          layer.emplace_back("distrib.frame_bytes", static_cast<double>(writer.bytes().size()));
+        }
+        VariantRun run{digest_of(decoded), static_cast<double>(end - start),
+                       static_cast<std::int64_t>(specs.size()),
+                       count_bad_cells(specs, in_process)};
+        if (digest_of(in_process) != run.digest) ++run.failed;
+        return run;
+      },
+  };
+  const std::vector<double> ns =
+      measure_traced(options, result, kSeedsPerOp, kReferenceDigest, variants, spans);
   double cell_sum_ms = 0.0;
   for (const double c : cell_ms) cell_sum_ms += c;
   layer.emplace_back("radio.trace_gen_ms", median(trace_gen_ms));
@@ -256,16 +262,8 @@ RunResult run_campaign_baselines(const Options& options) {
   layer.emplace_back("core.solve_us.p999", percentile(solve_us, 0.999));
   layer.emplace_back("core.solve_share", solve_ns_sum / (cell_sum_ms * 1e6));
   layer.emplace_back("distrib.encode_decode_ms", median(codec_ms));
-  layer.emplace_back("trace.overhead_frac", traced_ns / plain_ns - 1.0);
+  layer.emplace_back("trace.overhead_frac", ns[1] / ns[2] - 1.0);
   emit_layer_metrics(result, layer);
-  result.note("spans_dropped", std::to_string(spans.dropped()));
-  if (spans.enabled()) spans.write_chrome_json(options.span_out);
-
-  if (!reference.done()) {
-    const Op op = run_distributed(kDefaultSeed);
-    result.failed += op.failed;
-    reference.offer(kDefaultSeed, op.digest);
-  }
   return result;
 }
 

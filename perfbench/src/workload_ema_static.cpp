@@ -127,7 +127,7 @@ RunResult run_ema_static(const Options& options) {
   RunResult result;
   if (!options.trace) {
     const Measured measured =
-        measure(options, result, 1, 3, 3, true, kReferenceDigest, [&](std::uint64_t seed) {
+        measure(options, result, 1, true, kReferenceDigest, [&](std::uint64_t seed) {
           Sample sample;
           sample.op_us.reserve(kSlotsPerSeed);
           const Unit unit = run_unit(seed, options.inject, nullptr, nullptr, &sample.op_us);
@@ -143,73 +143,58 @@ RunResult run_ema_static(const Options& options) {
     return result;
   }
 
-  const std::int64_t deadline = now_ns() + static_cast<std::int64_t>(options.seconds * 1e9);
-  ReferenceCheck reference(result, kReferenceDigest);
-  // Traced run: per seed, three interleaved variants in rotating order —
-  // plain (telemetry on), traced (decorator + spans), telemetry off — over
-  // identical work, so the overheads compare like with like.
-  SpanBuffer spans(options.span_out.empty() ? 0 : 400000);
+  // Traced run: plain (telemetry on), traced (decorator + spans) and
+  // telemetry-off variants over identical work.
+  SpanBuffer spans(span_capacity(options));
   CallLog log(kSlotsPerSeed + 8);
   std::vector<double> slot_us;
   std::vector<double> solve_us;
   std::vector<double> self_us;
-  double plain_ns = 0.0;
-  double traced_ns = 0.0;
-  double telemetry_off_ns = 0.0;
-  std::uint64_t plain_allocs = 0;
-  std::int64_t plain_slots = 0;
+  std::uint64_t allocs = 0;
+  std::int64_t slots = 0;
   std::vector<std::pair<std::string, double>> layer;
-  for (std::uint64_t k = 0; k == 0 || before(deadline); ++k) {
-    const std::uint64_t seed = options.seed + k;
-    std::uint64_t digests[3] = {};
-    for (std::uint64_t v = 0; v < 3; ++v) {
-      const std::uint64_t variant = (v + k) % 3;
-      if (variant == 0) {
-        const Unit unit = run_unit(seed, Inject::kNone, nullptr, nullptr, nullptr);
-        plain_ns += static_cast<double>(unit.slot_ns_sum);
-        plain_allocs += unit.allocs;
-        plain_slots += kSlotsPerSeed;
-        digests[0] = unit.digest;
-        result.failed += unit.failed;
-      } else if (variant == 1) {
-        const std::size_t first = slot_us.size();
-        if (k == 0) jstream::telemetry::global_registry().reset_values();
+  const auto run = [](const Unit& unit) {
+    return VariantRun{unit.digest, static_cast<double>(unit.slot_ns_sum), kSlotsPerSeed,
+                      unit.failed};
+  };
+  const std::vector<Variant> variants = {
+      [&](std::uint64_t seed, bool) {
+        return run(run_unit(seed, Inject::kNone, nullptr, nullptr, nullptr));
+      },
+      [&](std::uint64_t seed, bool first) {
+        const std::size_t first_slot = slot_us.size();
+        if (first) jstream::telemetry::global_registry().reset_values();
         const Unit unit = run_unit(seed, Inject::kPassThrough, &log,
                                    spans.enabled() ? &spans : nullptr, &slot_us);
-        traced_ns += static_cast<double>(unit.slot_ns_sum);
-        digests[1] = unit.digest;
-        result.failed += unit.failed;
-        if (log.count != static_cast<std::size_t>(kSlotsPerSeed)) ++result.failed;
-        for (std::size_t s = 0; s < log.count && first + s < slot_us.size(); ++s) {
+        VariantRun traced = run(unit);
+        if (log.count != static_cast<std::size_t>(kSlotsPerSeed)) ++traced.failed;
+        for (std::size_t s = 0; s < log.count && first_slot + s < slot_us.size(); ++s) {
           const double solve = static_cast<double>(log.end[s] - log.start[s]) / 1e3;
           solve_us.push_back(solve);
-          self_us.push_back(slot_us[first + s] - solve);
+          self_us.push_back(slot_us[first_slot + s] - solve);
         }
-        if (k == 0) {
+        allocs += unit.allocs;
+        slots += kSlotsPerSeed;
+        if (first) {
           layer.emplace_back("core.dp_solves", static_cast<double>(unit.dp_solves));
-          layer.emplace_back("core.separable_hits",
-                             static_cast<double>(unit.separable_hits));
+          layer.emplace_back("core.separable_hits", static_cast<double>(unit.separable_hits));
           const RegistryCounts counts = RegistryCounts::read();
           for (const char* name :
                {"constraint.eq1.link_cap_clips", "constraint.eq2.capacity_clips"}) {
             layer.emplace_back(name, static_cast<double>(counts.get(name)));
           }
         }
-      } else {
+        return traced;
+      },
+      [&](std::uint64_t seed, bool) {
         jstream::telemetry::set_enabled(false);
         const Unit unit = run_unit(seed, Inject::kNone, nullptr, nullptr, nullptr);
         jstream::telemetry::set_enabled(true);
-        telemetry_off_ns += static_cast<double>(unit.slot_ns_sum);
-        digests[2] = unit.digest;
-        result.failed += unit.failed;
-      }
-    }
-    result.attempted += 3 * kSlotsPerSeed;
-    // Neither telemetry nor the decorator may change a decision.
-    if (digests[0] != digests[1] || digests[0] != digests[2]) ++result.failed;
-    if (k == 0) result.digest("first_unit", digests[0]);
-    reference.offer(seed, digests[0]);
-  }
+        return run(unit);
+      },
+  };
+  const std::vector<double> ns =
+      measure_traced(options, result, 1, kReferenceDigest, variants, spans);
   double solve_sum = 0.0;
   for (const double s : solve_us) solve_sum += s;
   double slot_sum = 0.0;
@@ -220,18 +205,10 @@ RunResult run_ema_static(const Options& options) {
   layer.emplace_back("core.solve_share", slot_sum > 0.0 ? solve_sum / slot_sum : 0.0);
   layer.emplace_back("gateway.self_us.p50", percentile(self_us, 0.5));
   layer.emplace_back("allocs_per_slot",
-                     static_cast<double>(plain_allocs) / static_cast<double>(plain_slots));
-  layer.emplace_back("trace.overhead_frac", traced_ns / plain_ns - 1.0);
-  layer.emplace_back("telemetry.overhead_frac", plain_ns / telemetry_off_ns - 1.0);
+                     static_cast<double>(allocs) / static_cast<double>(slots));
+  layer.emplace_back("trace.overhead_frac", ns[1] / ns[0] - 1.0);
+  layer.emplace_back("telemetry.overhead_frac", ns[0] / ns[2] - 1.0);
   emit_layer_metrics(result, layer);
-  result.note("spans_dropped", std::to_string(spans.dropped()));
-  if (spans.enabled()) spans.write_chrome_json(options.span_out);
-
-  if (!reference.done()) {
-    const Unit unit = run_unit(kDefaultSeed, Inject::kNone, nullptr, nullptr, nullptr);
-    result.failed += unit.failed;
-    reference.offer(kDefaultSeed, unit.digest);
-  }
   return result;
 }
 
