@@ -6,12 +6,10 @@
 //
 // The exact EMA DP used to be the wall here (the pre-SoA solver was skipped
 // at N=1000: O(N*M) with M in the thousands meant hours). The production
-// solver's separable fast path and warm start keep the exact row tractable at
-// every population, so it runs unskipped; the second table pins the
-// before/after delta by timing the retired monotone-deque solver against the
-// production solver on each population's steady-state slot. The ema-k8 rows
-// run the certified capacity-coarsening mode (EmaConfig::coarsen_units = 8)
-// and print the optimality-gap certificate harvested from RunMetrics.
+// solver's separable fast path keeps the exact row tractable at every
+// population, so it runs unskipped; the second table pins the before/after
+// delta by timing the retired monotone-deque solver against the production
+// solver on each population's steady-state slot.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -48,7 +46,7 @@ struct SolverDelta {
   std::size_t users = 0;
   std::int64_t m_units = 0;
   double before_us = 0.0;  ///< retired monotone-deque solver
-  double after_us = 0.0;   ///< production solver (memo dropped per call)
+  double after_us = 0.0;   ///< production solver
   double speedup = 0.0;
 };
 
@@ -56,7 +54,7 @@ struct SolverDelta {
 /// the retired deque solver vs the production solver on the resulting slot
 /// instance (the "before/after" column of this PR's solver rework).
 SolverDelta bench_solver_delta(const ScenarioConfig& scenario) {
-  auto ema = std::make_unique<EmaScheduler>(EmaConfig{0.05, 1});
+  auto ema = std::make_unique<EmaScheduler>(EmaConfig{0.05});
   const EmaScheduler* ema_ptr = ema.get();
   std::vector<UserEndpoint> endpoints = build_endpoints(scenario);
   const BaseStation bs(capacity_profile(scenario));
@@ -81,7 +79,6 @@ SolverDelta bench_solver_delta(const ScenarioConfig& scenario) {
   Allocation before_out;
   Allocation after_out;
   solve_min_cost_dp_deque(costs, caps, ctx.capacity_units, ws, before_out);
-  ws.invalidate();
   solve_min_cost_dp(costs, caps, ctx.capacity_units, ws, after_out);
   double before_cost = 0.0;
   double after_cost = 0.0;
@@ -96,10 +93,7 @@ SolverDelta bench_solver_delta(const ScenarioConfig& scenario) {
   delta.before_us = 1e-3 * time_ns_per_iter(before_iters, [&] {
     solve_min_cost_dp_deque(costs, caps, ctx.capacity_units, ws, before_out);
   });
-  // Drop the memo every call so the measurement is a solve (separable path or
-  // DP), not an identical-instance replay.
   delta.after_us = 1e-3 * time_ns_per_iter(400, [&] {
-    ws.invalidate();
     solve_min_cost_dp(costs, caps, ctx.capacity_units, ws, after_out);
   });
   delta.speedup = delta.after_us > 0.0 ? delta.before_us / delta.after_us : 0.0;
@@ -115,11 +109,6 @@ int run(int argc, const char* const* argv) {
               {"users", "scheduler", "uncached (s)", "cached (s)", "speedup"});
   std::vector<std::vector<std::string>> csv_rows;
   std::vector<SolverDelta> deltas;
-  struct CertLine {
-    std::size_t users = 0;
-    RunMetrics metrics;
-  };
-  std::vector<CertLine> cert_lines;
   for (std::size_t users : {20UL, 40UL, 80UL, 160UL, 1000UL}) {
     ScenarioConfig scenario = paper_scenario(users, args.seed);
     scenario.max_slots = args.slots;
@@ -133,14 +122,11 @@ int run(int argc, const char* const* argv) {
         global_trace_cache().get_or_generate(scenario);
 
     // "ema" is the exact DP at every population — N = 1000 included, where
-    // the separable fast path keeps the slot solve linear; "ema-k8" is the
-    // certified coarsening mode.
-    for (const char* name : {"default", "rtma", "ema-fast", "ema", "ema-k8"}) {
-      const bool coarse = std::string(name) == "ema-k8";
+    // the separable fast path keeps the slot solve linear.
+    for (const char* name : {"default", "rtma", "ema-fast", "ema"}) {
       SchedulerOptions options;
       options.ema.v_weight = 0.05;
-      options.ema.coarsen_units = coarse ? 8 : 1;
-      const ExperimentSpec spec{name, coarse ? "ema" : name, scenario, options};
+      const ExperimentSpec spec{name, name, scenario, options};
 
       auto start = std::chrono::steady_clock::now();
       const RunMetrics uncached = run_experiment(spec, false);
@@ -153,11 +139,9 @@ int run(int argc, const char* const* argv) {
                   cached.total_energy_mj() == uncached.total_energy_mj(),
               "cached trace run diverged from the per-run path");
       if (std::string(name) == "ema") {
-        require(cached.has_certificate && cached.cert_gap_max == 0.0 &&
-                    cached.cert_certified_slots == 0,
-                "exact EMA must certify a zero gap on every slot");
+        require(cached.has_certificate && cached.cert_exact_slots == cached.slots_run,
+                "exact EMA must count one exact solve per slot");
       }
-      if (coarse) cert_lines.push_back({users, cached});
 
       const double speedup = wall_cached > 0.0 ? wall_uncached / wall_cached : 0.0;
       table.row({std::to_string(users), name, format_double(wall_uncached, 3),
@@ -170,21 +154,6 @@ int run(int argc, const char* const* argv) {
     deltas.push_back(bench_solver_delta(scenario));
   }
   table.print();
-
-  std::printf("\nema-k8 coarsening certificate (gap unit: slot objective)\n");
-  for (const CertLine& line : cert_lines) {
-    const RunMetrics& m = line.metrics;
-    const double gap_mean = m.cert_certified_slots > 0
-                                ? m.cert_gap_sum / as_double(m.cert_certified_slots)
-                                : 0.0;
-    std::printf(
-        "  N=%-4zu gap max %.3e  mean %.3e  %lld exact / %lld certified slots\n",
-        line.users, m.cert_gap_max, gap_mean,
-        static_cast<long long>(m.cert_exact_slots),
-        static_cast<long long>(m.cert_certified_slots));
-    require(m.has_certificate && m.cert_gap_max >= 0.0,
-            "coarsened EMA run must publish a non-negative certificate");
-  }
 
   Table solver_table(
       "exact-EMA slot solver, before (deque DP) vs after (production solver)",

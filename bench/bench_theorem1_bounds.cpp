@@ -4,10 +4,7 @@
 //
 // Sweeps V and reports measured PE / PC alongside the bound structure:
 // PE should decrease toward a floor (E*) roughly like 1/V while PC grows
-// roughly linearly in V. B is computed from the scenario (Eq. 18). A second
-// sweep runs the certified coarsening mode (coarsen_units = 8) and compares
-// every run's worst certified per-slot gap against the B slack that keeps
-// Theorem 1 valid at PE <= E* + 2B/V.
+// roughly linearly in V. B is computed from the scenario (Eq. 18).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -44,19 +41,12 @@ int run(int argc, const char* const* argv) {
 
   const std::vector<double> v_values{0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5};
   std::vector<ExperimentSpec> specs;
-  std::vector<ExperimentSpec> coarse_specs;
   for (double v : v_values) {
     SchedulerOptions options;
     options.ema.v_weight = v;
     specs.push_back({"ema", "ema", scenario, options});
-    // Certified coarsening at the same V: Theorem 1 degrades gracefully to
-    // PE <= E* + 2B/V as long as every per-slot certified gap stays <= B
-    // (the slack the invariant checker enforces under --validate).
-    options.ema.coarsen_units = 8;
-    coarse_specs.push_back({"ema-k8", "ema", scenario, options});
   }
   const std::vector<RunMetrics> results = run_grid(args, specs);
-  const std::vector<RunMetrics> coarse_results = run_grid(args, coarse_specs);
 
   Table table("Theorem 1 sweep: PE falls ~1/V toward E*, PC grows ~V",
               {"V", "PE (mJ/user-slot)", "PC (ms/user-slot)", "B/V (mJ)"});
@@ -74,40 +64,6 @@ int run(int argc, const char* const* argv) {
   }
   table.print();
 
-  // Coarsened solves against the Theorem 1 slack: the per-slot certified gap
-  // (harvested from RunMetrics via Scheduler::solve_certificate) must stay
-  // under B for the drift-plus-penalty chain to survive with 2B/V slack.
-  Table coarse_table(
-      "certified coarsening (k = 8) vs the Theorem 1 slack: gap_max <= B",
-      {"V", "PE k8 (mJ/user-slot)", "gap max", "gap mean", "certified", "<= B"});
-  std::vector<std::vector<std::string>> coarse_csv_rows;
-  bool all_within_budget = true;
-  for (std::size_t i = 0; i < v_values.size(); ++i) {
-    const RunMetrics& m = coarse_results[i];
-    require(m.has_certificate, "coarsened EMA run published no certificate");
-    const double gap_mean =
-        m.cert_certified_slots > 0
-            ? m.cert_gap_sum / as_double(m.cert_certified_slots)
-            : 0.0;
-    const bool within = m.cert_gap_max <= b_constant;
-    all_within_budget = all_within_budget && within;
-    coarse_table.row({format_double(v_values[i], 3),
-                      format_double(m.avg_energy_per_user_slot_mj(), 2),
-                      format_double(m.cert_gap_max, 3), format_double(gap_mean, 3),
-                      std::to_string(m.cert_certified_slots) + "/" +
-                          std::to_string(m.cert_certified_slots + m.cert_exact_slots),
-                      within ? "yes" : "NO"});
-    coarse_csv_rows.push_back({format_double(v_values[i], 5),
-                               format_double(m.avg_energy_per_user_slot_mj(), 4),
-                               format_double(m.cert_gap_max, 6),
-                               format_double(gap_mean, 6),
-                               std::to_string(m.cert_certified_slots)});
-  }
-  std::printf("\n");
-  coarse_table.print();
-  std::printf("\nAll certified gaps within the B = %.1f slack: %s\n", b_constant,
-              all_within_budget ? "yes" : "NO");
-
   const bool pe_monotone = results.front().avg_energy_per_user_slot_mj() >
                            results.back().avg_energy_per_user_slot_mj();
   const bool pc_monotone = results.front().avg_rebuffer_per_user_slot_s() <
@@ -117,9 +73,6 @@ int run(int argc, const char* const* argv) {
 
   maybe_write_csv(args.csv_dir, "theorem1_bounds.csv", {"v", "pe_mj", "pc_ms"},
                   csv_rows);
-  maybe_write_csv(args.csv_dir, "theorem1_coarse.csv",
-                  {"v", "pe_mj", "gap_max", "gap_mean", "certified_slots"},
-                  coarse_csv_rows);
   return 0;
 }
 

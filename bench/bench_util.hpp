@@ -13,7 +13,6 @@
 #include "common/table.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
-#include "sim/sweep.hpp"
 
 namespace jstream::bench {
 
@@ -39,7 +38,7 @@ struct CommonArgs {
 /// Runs a spec grid through the campaign engine: sharded over --threads
 /// workers with every cell reading its channel from the process-wide trace
 /// cache (one generation per scenario/seed instead of one per cell). Results
-/// are order-preserving, bit-identical to run_sweep.
+/// are order-preserving, bit-identical to serial run_experiment calls.
 [[nodiscard]] std::vector<RunMetrics> run_grid(const CommonArgs& args,
                                                std::span<const ExperimentSpec> specs,
                                                bool keep_series = false);

@@ -99,8 +99,8 @@ if [[ "${SKIP_PERF:-0}" != 1 ]]; then
   # bit-identical to serial, the disk-warm trace-store rerun (zero
   # regenerations always; >= 3x at full scale), and the 110k-session
   # service-scale bounds. With REPRO_SLOTS set the timing/scale gates turn
-  # informational (the binary still verifies solver agreement, certificate
-  # sanity, and both bit-identity gates); unset it for the real gate.
+  # informational (the binary still verifies solver agreement and both
+  # bit-identity gates); unset it for the real gate.
   build/bench/bench_perf_gate --out build/BENCH_PR9.json
 else
   stage "6/7 perf gate — SKIPPED (SKIP_PERF=1)"

@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -112,19 +111,6 @@ class InvariantChecker {
                      std::span<const UserEndpoint> endpoints,
                      std::span<const RrcState> rrc_before);
 
-  /// Validates a scheduler's certified per-slot optimality gap ("Thm. 1"):
-  /// the gap must be finite, non-negative, and — when a budget was set via
-  /// set_gap_budget — within it. The Framework calls this right after
-  /// check_allocation for schedulers exposing a SolveCertificate; the budget
-  /// is the Theorem 1 drift bound B, so an in-budget gap keeps the paper's
-  /// PE <= E* + (B + eps)/V <= E* + 2B/V guarantee intact.
-  void check_certificate(std::int64_t slot, double gap);
-
-  /// Sets the per-slot certified-gap budget (slot objective units). Default
-  /// is infinity: gaps are still checked for sanity but never for size.
-  void set_gap_budget(double budget) noexcept { gap_budget_ = budget; }
-  [[nodiscard]] double gap_budget() const noexcept { return gap_budget_; }
-
   /// Slots validated since reset (or the last mid-run resynchronization).
   [[nodiscard]] std::int64_t slots_checked() const noexcept { return slots_checked_; }
 
@@ -147,8 +133,6 @@ class InvariantChecker {
   bool queues_synced_ = false;        ///< shadow adopted the scheduler's levels
   std::int64_t slots_checked_ = 0;
   std::int64_t last_slot_ = -1;
-  /// Per-slot ceiling for certified optimality gaps (Theorem 1 budget).
-  double gap_budget_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace jstream::analysis

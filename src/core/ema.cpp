@@ -75,15 +75,6 @@ DpBound dp_bound(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
   return {std::min(capacity_units, cap_sum), cap_max};
 }
 
-/// Sum of the allocation's reduced costs (the DP objective).
-double total_cost(const EmaSlotCosts& costs, std::span<const std::int64_t> units) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    total += ema_cost(costs, i, units[i]);
-  }
-  return total;
-}
-
 /// Separable exact fast path. When the sum of unconstrained per-user optima
 /// fits under m_max, constraint (2) is slack at the optimum, the DP
 /// decomposes per user, and the answer is O(N). Every decision must clear a
@@ -215,37 +206,6 @@ void backtrack(const double* final_row, const std::vector<ChoiceT>& choice,
   }
 }
 
-/// True when ws's memoized instance is value-identical to this one.
-bool same_instance(const EmaDpWorkspace& ws, const EmaSlotCosts& costs,
-                   std::span<const std::int64_t> caps, std::int64_t m_max) {
-  const std::size_t n = caps.size();
-  return ws.has_memo && ws.last_m_max == m_max && ws.last_caps.size() == n &&
-         std::equal(caps.begin(), caps.end(), ws.last_caps.begin()) &&
-         std::equal(costs.idle_cost.begin(), costs.idle_cost.end(),
-                    ws.last_idle.begin()) &&
-         std::equal(costs.active_base.begin(), costs.active_base.end(),
-                    ws.last_base.begin()) &&
-         std::equal(costs.slope.begin(), costs.slope.end(), ws.last_slope.begin());
-}
-
-void save_memo(EmaDpWorkspace& ws, const EmaSlotCosts& costs,
-               std::span<const std::int64_t> caps, std::int64_t m_max,
-               const std::vector<std::int64_t>& units) {
-  ws.last_idle.assign(costs.idle_cost.begin(), costs.idle_cost.end());
-  ws.last_base.assign(costs.active_base.begin(), costs.active_base.end());
-  ws.last_slope.assign(costs.slope.begin(), costs.slope.end());
-  ws.last_caps.assign(caps.begin(), caps.end());
-  ws.last_units.assign(units.begin(), units.end());
-  ws.last_m_max = m_max;
-  ws.has_memo = true;
-}
-
-/// Checkpoint spacing of the warm-start row cache: ~16 checkpoints per
-/// instance, never denser than every 64 rows.
-std::size_t checkpoint_stride(std::size_t n) {
-  return std::max<std::size_t>(64, n / 16);
-}
-
 }  // namespace
 
 EmaSlotCosts compute_ema_slot_costs(const SlotContext& ctx,
@@ -321,46 +281,15 @@ void solve_min_cost_dp(const EmaSlotCosts& costs, std::span<const std::int64_t> 
   require(m_max < std::numeric_limits<std::int32_t>::max(),
           "capacity exceeds DP index range");
 
-  // Reuse layer 0: the instance is value-identical to the last solved one
-  // (common in drained/quiescent phases where queues and tails are frozen).
-  if (same_instance(ws, costs, caps, m_max)) {
-    ++ws.memo_hits;
-    std::copy(ws.last_units.begin(), ws.last_units.end(), out.units.begin());
-    return;
-  }
-
-  // Reuse layer 1: margin-guarded separable solve (see try_separable).
+  // Margin-guarded separable solve (see try_separable).
   if (try_separable(costs, caps, m_max, out.units)) {
     ++ws.separable_hits;
-    save_memo(ws, costs, caps, m_max, out.units);
-    ws.dp_valid = false;  // checkpoints no longer describe the memo instance
     return;
   }
   std::fill(out.units.begin(), out.units.end(), 0);
 
   const std::size_t width = checked_size(m_max) + 1;
   const bool narrow = bound.cap_max <= kNarrowChoiceMax;
-  const std::size_t stride = checkpoint_stride(n);
-
-  // Reuse layer 2: warm-start resume. If the previous solve ran the DP over
-  // the same geometry and the first d users' inputs are unchanged, rows
-  // [0, d) would recompute identically — resume from the nearest checkpoint
-  // at or below d instead. Checkpoints below the resume point stay valid by
-  // induction (their rows were identical in the solve that wrote them).
-  std::size_t start_row = 0;
-  if (ws.dp_valid && ws.dp_width == width && ws.dp_narrow == narrow &&
-      ws.checkpoint_stride == stride && ws.last_caps.size() == n) {
-    std::size_t d = 0;
-    while (d < n && caps[d] == ws.last_caps[d] &&
-           costs.idle_cost[d] == ws.last_idle[d] &&
-           costs.active_base[d] == ws.last_base[d] &&
-           costs.slope[d] == ws.last_slope[d]) {
-      ++d;
-    }
-    start_row = d / stride * stride;
-    ws.resumed_rows += checked_index(start_row);
-  }
-
   ws.prev.resize(width);
   ws.cur.resize(width);
   ws.window_key.resize(width);
@@ -371,23 +300,14 @@ void solve_min_cost_dp(const EmaSlotCosts& costs, std::span<const std::int64_t> 
   } else {
     ws.choice.resize(n * width);
   }
-  const std::size_t n_checkpoints = (n - 1) / stride + 1;
-  ws.checkpoints.resize(n_checkpoints * width);
 
   double* prev = ws.prev.data();
   double* cur = ws.cur.data();
-  if (start_row == 0) {
-    std::fill_n(prev, width, kInf);
-    prev[0] = 0.0;
-  } else {
-    std::copy_n(ws.checkpoints.data() + (start_row / stride) * width, width, prev);
-  }
+  std::fill_n(prev, width, kInf);
+  prev[0] = 0.0;
 
   ++ws.dp_solves;
-  for (std::size_t i = start_row; i < n; ++i) {
-    if (i % stride == 0) {
-      std::copy_n(prev, width, ws.checkpoints.data() + (i / stride) * width);
-    }
+  for (std::size_t i = 0; i < n; ++i) {
     if (narrow) {
       dp_row<std::int16_t>(prev, cur, &ws.choice16[i * width], width, caps[i],
                            costs.idle_cost[i], costs.active_base[i],
@@ -405,11 +325,6 @@ void solve_min_cost_dp(const EmaSlotCosts& costs, std::span<const std::int64_t> 
   } else {
     backtrack<std::int32_t>(prev, ws.choice, n, width, out.units);
   }
-  save_memo(ws, costs, caps, m_max, out.units);
-  ws.dp_valid = true;
-  ws.dp_width = width;
-  ws.dp_narrow = narrow;
-  ws.checkpoint_stride = stride;
 }
 
 void solve_min_cost_dp_deque(const EmaSlotCosts& costs,
@@ -423,9 +338,6 @@ void solve_min_cost_dp_deque(const EmaSlotCosts& costs,
   require(m_max < std::numeric_limits<std::int32_t>::max(),
           "capacity exceeds DP index range");
   const auto width = checked_size(m_max) + 1;
-  // The deque solve reuses the scratch rows but leaves the warm-start cache
-  // describing a different solve — drop it.
-  ws.invalidate();
 
   ws.prev.resize(width);
   ws.cur.resize(width);
@@ -549,213 +461,12 @@ Allocation solve_min_cost_dp_reference(const EmaSlotCosts& costs,
   return alloc;
 }
 
-namespace {
-
-/// Lagrangian dual value g(lambda) = sum_i min(idle_i, min_{1<=phi<=cap_i}
-/// (base_i + (slope_i+lambda)*phi)) - lambda*C. For every lambda >= 0 this is
-/// a lower bound on the constrained optimum (weak duality: relaxing
-/// sum phi <= C with multiplier lambda only removes cost from feasible
-/// points). The inner minimum of a linear function sits at an endpoint.
-double dual_value(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
-                  std::int64_t capacity, double lambda) {
-  double total = 0.0;
-  const std::size_t n = caps.size();
-  const double* JSTREAM_RESTRICT idle = costs.idle_cost.data();
-  const double* JSTREAM_RESTRICT base = costs.active_base.data();
-  const double* JSTREAM_RESTRICT slope = costs.slope.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t cap = caps[i];
-    if (cap == 0) {
-      total += idle[i];
-      continue;
-    }
-    const double s = slope[i] + lambda;
-    const double at_one = base[i] + s;
-    const double at_cap = base[i] + s * as_double(cap);
-    total += std::min(idle[i], std::min(at_one, at_cap));
-  }
-  return total - lambda * as_double(capacity);
-}
-
-/// Maximizes the concave piecewise-linear dual over lambda in [0, hi] by
-/// ternary search; any evaluation is a valid lower bound, so the search only
-/// affects tightness, never soundness.
-double dual_lower_bound(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
-                        std::int64_t capacity) {
-  double hi = 0.0;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    if (caps[i] == 0) continue;
-    hi = std::max(hi, -costs.slope[i]);
-    hi = std::max(hi, costs.idle_cost[i] - costs.active_base[i] - costs.slope[i]);
-  }
-  hi += 1.0;  // beyond every breakpoint: all users idle, g strictly decreasing
-  double lo = 0.0;
-  for (int iter = 0; iter < 48; ++iter) {
-    const double third = (hi - lo) / 3.0;
-    const double m1 = lo + third;
-    const double m2 = hi - third;
-    if (dual_value(costs, caps, capacity, m1) <
-        dual_value(costs, caps, capacity, m2)) {
-      lo = m1;
-    } else {
-      hi = m2;
-    }
-  }
-  const double at_bracket = dual_value(costs, caps, capacity, (lo + hi) / 2.0);
-  const double at_zero = dual_value(costs, caps, capacity, 0.0);
-  return std::max(at_bracket, at_zero);
-}
-
-}  // namespace
-
-EmaCoarseOutcome solve_min_cost_coarse(const EmaSlotCosts& costs,
-                                       std::span<const std::int64_t> caps,
-                                       std::int64_t capacity_units, std::int64_t k,
-                                       EmaCoarseWorkspace& ws, Allocation& out) {
-  require(k >= 1, "coarsening factor must be >= 1");
-  const std::size_t n = caps.size();
-  const DpBound bound = dp_bound(costs, caps, capacity_units);
-  const std::int64_t m_max = bound.m_max;
-  out.units.assign(n, 0);
-  EmaCoarseOutcome result;
-  if (n == 0) {
-    result.exact = true;
-    return result;
-  }
-  if (m_max == 0) {
-    // All-idle is the only feasible point: exact by construction.
-    result.cost = total_cost(costs, out.units);
-    result.lower_bound = result.cost;
-    result.exact = true;
-    return result;
-  }
-
-  // When capacity does not bind, the margin-guarded separable path solves the
-  // *fine* instance exactly — no reason to pay any coarsening error.
-  if (try_separable(costs, caps, m_max, out.units)) {
-    result.cost = total_cost(costs, out.units);
-    result.lower_bound = result.cost;
-    result.exact = true;
-    return result;
-  }
-  std::fill(out.units.begin(), out.units.end(), 0);
-
-  if (k == 1) {
-    solve_min_cost_dp(costs, caps, capacity_units, ws.dp, out);
-    result.cost = total_cost(costs, out.units);
-    result.lower_bound = result.cost;
-    result.exact = true;
-    return result;
-  }
-
-  // Coarse instance: units of k capacity grains. cap' = floor(cap/k),
-  // C' = floor(m_max/k), slope' = slope*k (active cost of c coarse units is
-  // base + slope*(k*c)); idle/base carry over unchanged.
-  ws.coarse_caps.resize(n);
-  ws.coarse_costs.idle_cost.resize(n);
-  ws.coarse_costs.active_base.resize(n);
-  ws.coarse_costs.slope.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws.coarse_caps[i] = caps[i] / k;
-    ws.coarse_costs.idle_cost[i] = costs.idle_cost[i];
-    ws.coarse_costs.active_base[i] = costs.active_base[i];
-    ws.coarse_costs.slope[i] = costs.slope[i] * as_double(k);
-  }
-  solve_min_cost_dp(ws.coarse_costs, ws.coarse_caps, m_max / k, ws.dp,
-                    ws.coarse_alloc);
-
-  // Expand to fine units and refine with strict-improvement moves only, so
-  // the realized cost can only drop below the coarse solution's.
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.units[i] = k * ws.coarse_alloc.units[i];
-    total += out.units[i];
-  }
-  std::int64_t leftover = m_max - total;
-
-  // (a) Positive-slope actives pay per unit: shrink them to the minimum
-  // active grant of one fine unit.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (out.units[i] > 1 && costs.slope[i] > 0.0) {
-      leftover += out.units[i] - 1;
-      out.units[i] = 1;
-    }
-  }
-  // (b) Negative-slope actives gain per unit: extend the steepest first.
-  ws.order.clear();
-  ws.order.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (out.units[i] > 0 && costs.slope[i] < 0.0 && out.units[i] < caps[i]) {
-      ws.order.push_back(checked_i32(i));
-    }
-  }
-  std::sort(ws.order.begin(), ws.order.end(),
-            [&costs](std::int32_t a, std::int32_t b) {
-              const auto ua = checked_size(a);
-              const auto ub = checked_size(b);
-              if (costs.slope[ua] != costs.slope[ub]) {
-                return costs.slope[ua] < costs.slope[ub];
-              }
-              return a < b;
-            });
-  for (const std::int32_t idx : ws.order) {
-    if (leftover == 0) break;
-    const auto i = checked_size(idx);
-    const std::int64_t take = std::min(caps[i] - out.units[i], leftover);
-    out.units[i] += take;
-    leftover -= take;
-  }
-  // (c) Idle users the coarse grid under-served (cap < k rounds cap' to 0):
-  // activate the best static gains while capacity remains, strict wins only.
-  if (leftover > 0) {
-    ws.order.clear();
-    const auto static_gain = [&costs, &caps](std::size_t i) {
-      const std::int64_t phi = costs.slope[i] < 0.0 ? caps[i] : 1;
-      return costs.idle_cost[i] -
-             (costs.active_base[i] + costs.slope[i] * as_double(phi));
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (out.units[i] == 0 && caps[i] > 0 && static_gain(i) > 0.0) {
-        ws.order.push_back(checked_i32(i));
-      }
-    }
-    std::sort(ws.order.begin(), ws.order.end(),
-              [&static_gain](std::int32_t a, std::int32_t b) {
-                const double ga = static_gain(checked_size(a));
-                const double gb = static_gain(checked_size(b));
-                if (ga != gb) return ga > gb;
-                return a < b;
-              });
-    for (const std::int32_t idx : ws.order) {
-      if (leftover == 0) break;
-      const auto i = checked_size(idx);
-      const std::int64_t phi =
-          costs.slope[i] < 0.0 ? std::min(caps[i], leftover) : 1;
-      if (phi > leftover) continue;
-      const double active = costs.active_base[i] + costs.slope[i] * as_double(phi);
-      if (active < costs.idle_cost[i]) {
-        out.units[i] = phi;
-        leftover -= phi;
-      }
-    }
-  }
-
-  result.cost = total_cost(costs, out.units);
-  result.lower_bound = dual_lower_bound(costs, caps, m_max);
-  result.gap = std::max(0.0, result.cost - result.lower_bound);
-  result.exact = false;
-  return result;
-}
-
 EmaScheduler::EmaScheduler(EmaConfig config) : config_(config) {
   require(config_.v_weight > 0.0, "V must be positive");
-  require(config_.coarsen_units >= 1, "coarsen_units must be >= 1");
 }
 
 void EmaScheduler::reset(std::size_t users) {
   queues_.reset(users);
-  dp_ws_.invalidate();
-  coarse_ws_.dp.invalidate();
   certificate_ = SolveCertificate{};
 }
 
@@ -767,9 +478,9 @@ Allocation EmaScheduler::allocate(const SlotContext& ctx) {
   return alloc;
 }
 
-// jstream: hot-path — per-slot EMA allocation; the whole solver stack
-// below it (memo, separable fast path, warm start, deque kernel) inherits
-// hotness through the same-TU call graph.
+// jstream: hot-path — per-slot EMA allocation; the solver below it
+// (separable fast path, deque row kernel) inherits hotness through the
+// same-TU call graph.
 void EmaScheduler::allocate_into(const SlotContext& ctx, Allocation& out) {
   require(queues_.size() == ctx.user_count(),
           "EMA not reset for this user count");
@@ -823,22 +534,8 @@ void EmaScheduler::adjust_costs(const SlotContext& /*ctx*/, EmaSlotCosts& /*cost
 void EmaScheduler::solve_slot(const EmaSlotCosts& costs,
                               std::span<const std::int64_t> caps,
                               std::int64_t capacity_units, Allocation& out) {
-  if (config_.coarsen_units <= 1) {
-    solve_min_cost_dp(costs, caps, capacity_units, dp_ws_, out);
-    certificate_.last_gap = 0.0;
-    ++certificate_.exact_slots;
-    return;
-  }
-  const EmaCoarseOutcome outcome = solve_min_cost_coarse(
-      costs, caps, capacity_units, config_.coarsen_units, coarse_ws_, out);
-  certificate_.last_gap = outcome.gap;
-  certificate_.gap_sum += outcome.gap;
-  certificate_.gap_max = std::max(certificate_.gap_max, outcome.gap);
-  if (outcome.exact) {
-    ++certificate_.exact_slots;
-  } else {
-    ++certificate_.certified_slots;
-  }
+  solve_min_cost_dp(costs, caps, capacity_units, dp_ws_, out);
+  ++certificate_.exact_slots;
 }
 
 }  // namespace jstream

@@ -19,18 +19,15 @@
 //     = slope*m + min_{m - cap <= j <= m - 1} (prev[j] - slope*j),
 //
 // so the row is solvable in O(M). `solve_min_cost_dp` is the production
-// exact solver; it layers three bit-identical accelerations on top
-// (docs/PERFORMANCE.md, "EMA at scale"):
+// exact solver (docs/PERFORMANCE.md, "EMA at scale"). It runs two layers:
 //
-//   * an identical-instance memo and a cross-slot incremental warm start
-//     (row checkpoints let a solve resume below the first changed user);
 //   * a tie-margin-guarded separable fast path: when every user's
 //     unconstrained optimum fits under the capacity — the common case at
 //     large N — the coupled DP provably decomposes per user, O(N) total;
-//   * a restructured row kernel: the cost build, the separable scan, and the
-//     DP rows stream over cache-line-aligned SoA lanes (common/simd.hpp) with
-//     restrict-qualified pointers, and the per-row choice table narrows to
-//     int16 whenever every cap fits, halving the DP's dominant store traffic.
+//   * otherwise the full DP, one row kernel call per user: rows stream over
+//     cache-line-aligned SoA lanes (common/simd.hpp) with restrict-qualified
+//     pointers, and the per-row choice table narrows to int16 whenever every
+//     cap fits, halving the DP's dominant store traffic.
 //     (A branch-free block prefix/suffix window-minimum was evaluated and
 //     lost to the deque — its running-min scans are serial dependences and
 //     its auxiliary arrays triple the row's memory traffic — so the monotone
@@ -42,13 +39,6 @@
 // solver matches the deque solver allocation-for-allocation down to the last
 // tie-break; tests/core/test_ema_simd.cpp enforces exact unit equality over
 // randomized instances, including forced exact ties.
-//
-// `solve_min_cost_coarse` trades bounded optimality for speed: it solves the
-// DP on capacity super-units of size k (EmaConfig::coarsen_units), refines
-// greedily, and certifies the result with a Lagrangian-dual lower bound; the
-// certified gap is checked against the Theorem 1 drift bound B by the
-// invariant checker under --validate (an eps-additive per-slot solve keeps
-// PE <= E* + (B + eps)/V).
 //
 // EmaFastScheduler in ema_fast.hpp solves the same slot problem with a
 // slope-greedy heuristic (ablation; see DESIGN.md).
@@ -73,12 +63,6 @@ struct EmaConfig {
   /// near the default strategy's level on the paper scenario (beta ~ 1); use
   /// calibrate_v_for_rebuffer to target a specific bound.
   double v_weight = 0.05;
-  /// Capacity-unit coarsening factor k. 1 (default) solves the slot problem
-  /// exactly; k > 1 solves the DP on units of k capacity grains, refines
-  /// greedily, and reports a certified per-slot optimality gap through
-  /// Scheduler::solve_certificate(). Off by default so golden digests stay
-  /// byte-stable.
-  std::int64_t coarsen_units = 1;
 };
 
 /// Per-user costs of the slot problem, with the common PC_i*tau term dropped
@@ -115,20 +99,11 @@ struct EmaSlotCosts {
 void compute_ema_slot_costs(const SlotContext& ctx, const LyapunovQueues& queues,
                             double v_weight, EmaSlotCosts& out);
 
-/// Reusable scratch + cross-slot warm state for solve_min_cost_dp. A
-/// long-lived caller (EmaScheduler, the perf gate) keeps one workspace so the
-/// steady-state solve performs no heap allocation; buffers only ever grow.
-///
-/// The workspace doubles as the incremental-reuse carrier: it remembers the
-/// last solved instance (costs/caps/bound) plus its allocation for the
-/// identical-instance memo, and — after a full DP solve — periodic row
-/// checkpoints plus the per-row choice table, so the next solve can resume
-/// below the first user whose inputs changed. Both reuse paths are
-/// bit-identical to a cold solve by construction: the memo replays an
-/// identical instance's result, and a resumed solve recomputes every row at
-/// or above the first difference from checkpointed exact state.
+/// Reusable scratch for solve_min_cost_dp. A long-lived caller (EmaScheduler,
+/// the perf gate) keeps one workspace so the steady-state solve performs no
+/// heap allocation; buffers only ever grow. No state carries from one solve
+/// to the next beyond buffer capacity and the path counters.
 struct EmaDpWorkspace {
-  // --- per-solve scratch -------------------------------------------------
   simd::AlignedVec<double> prev;        ///< DP row for users [0, i)
   simd::AlignedVec<double> cur;         ///< DP row including user i
   simd::AlignedVec<double> window_key;  ///< sliding-window keys prev[j] - slope*j
@@ -139,34 +114,9 @@ struct EmaDpWorkspace {
   std::vector<std::int16_t> choice16;
   std::vector<std::int32_t> choice;
 
-  // --- cross-slot warm state (see file comment) --------------------------
-  simd::AlignedVec<double> last_idle;      ///< previous instance: costs
-  simd::AlignedVec<double> last_base;
-  simd::AlignedVec<double> last_slope;
-  std::vector<std::int64_t> last_caps;     ///< previous instance: caps
-  std::vector<std::int64_t> last_units;    ///< previous instance: result
-  std::int64_t last_m_max = -1;            ///< previous instance: DP bound
-  bool has_memo = false;                   ///< last_* describe a solved instance
-  /// Checkpointed DP rows of the last full solve: row r*stride holds `prev`
-  /// as it entered user r*stride, flat [checkpoint][width].
-  simd::AlignedVec<double> checkpoints;
-  std::size_t checkpoint_stride = 0;
-  bool dp_valid = false;  ///< checkpoints/choice match the memoized instance
-  bool dp_narrow = false; ///< the memoized solve used the int16 choice table
-  std::size_t dp_width = 0;
-
-  /// Drops all cross-slot reuse state (memo + checkpoints); scratch buffers
-  /// keep their capacity. The next solve runs cold.
-  void invalidate() {
-    has_memo = false;
-    dp_valid = false;
-  }
-
   // --- telemetry-visible counters (reset by the owner if desired) --------
-  std::int64_t memo_hits = 0;      ///< solves answered from the memo
   std::int64_t separable_hits = 0; ///< solves answered by the separable path
   std::int64_t dp_solves = 0;      ///< solves that ran DP rows
-  std::int64_t resumed_rows = 0;   ///< DP rows skipped via warm-start resume
 };
 
 /// Exact minimizer of sum_i cost(i, phi_i) s.t. phi_i in [0, caps[i]] and
@@ -178,16 +128,15 @@ struct EmaDpWorkspace {
                                            std::int64_t capacity_units);
 
 /// Workspace variant: solves into `out` using `ws` scratch; allocation-free
-/// once both have warmed up to the instance size, and able to reuse `ws`'s
-/// memo/checkpoint state across consecutive calls.
+/// once both have warmed up to the instance size.
 void solve_min_cost_dp(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
                        std::int64_t capacity_units, EmaDpWorkspace& ws,
                        Allocation& out);
 
 /// The PR2 monotone-deque O(N * M) solver, kept verbatim as the before/after
 /// baseline for bench_perf_gate/bench_scaling_users and as a differential
-/// anchor: the block solver must match it exactly. Does not touch `ws`'s
-/// warm-start state beyond scratch rows (and invalidates it).
+/// anchor: the production solver must match it exactly. Uses `ws`'s scratch
+/// rows and wide choice table only.
 void solve_min_cost_dp_deque(const EmaSlotCosts& costs,
                              std::span<const std::int64_t> caps,
                              std::int64_t capacity_units, EmaDpWorkspace& ws,
@@ -200,42 +149,10 @@ void solve_min_cost_dp_deque(const EmaSlotCosts& costs,
                                                      std::span<const std::int64_t> caps,
                                                      std::int64_t capacity_units);
 
-/// Result of one certified-ε coarsened solve (see solve_min_cost_coarse).
-struct EmaCoarseOutcome {
-  double cost = 0.0;         ///< realized cost of the refined allocation
-  double lower_bound = 0.0;  ///< Lagrangian-dual bound <= exact optimum
-  double gap = 0.0;          ///< certified gap: cost - optimum <= gap
-  bool exact = false;        ///< separable fast path solved it exactly (gap 0)
-};
-
-/// Workspace for solve_min_cost_coarse: the coarse instance, its DP scratch,
-/// and the refinement's ordering buffers. Grow-only, like EmaDpWorkspace.
-struct EmaCoarseWorkspace {
-  EmaDpWorkspace dp;
-  EmaSlotCosts coarse_costs;
-  std::vector<std::int64_t> coarse_caps;
-  Allocation coarse_alloc;
-  std::vector<std::int32_t> order;
-};
-
-/// Bounded-suboptimality solver: solves the slot DP on capacity units of
-/// size `k` (an O(N*M/k) problem), expands, greedily refines with strict
-/// improvements, and certifies the result: the returned gap is a per-slot
-/// upper bound on cost(allocation) - cost(optimum), obtained from a
-/// Lagrangian weak-duality lower bound maximized by ternary search. With a
-/// gap <= B every slot, Theorem 1 degrades gracefully to PE <= E* + 2B/V —
-/// the invariant checker enforces exactly that budget under --validate.
-EmaCoarseOutcome solve_min_cost_coarse(const EmaSlotCosts& costs,
-                                       std::span<const std::int64_t> caps,
-                                       std::int64_t capacity_units, std::int64_t k,
-                                       EmaCoarseWorkspace& ws, Allocation& out);
-
-/// Algorithm 2 of the paper, with the exact (or certified-ε, when
-/// `EmaConfig::coarsen_units > 1`) DP slot solver.
+/// Algorithm 2 of the paper, with the exact DP slot solver.
 ///
-/// The scheduler owns per-instance workspaces (slot costs, DP scratch,
-/// coarsening scratch) so the steady-state allocate_into path performs zero
-/// heap allocations.
+/// The scheduler owns per-instance workspaces (slot costs, DP scratch) so the
+/// steady-state allocate_into path performs zero heap allocations.
 class EmaScheduler : public Scheduler {
  public:
   explicit EmaScheduler(EmaConfig config = {});
@@ -254,15 +171,14 @@ class EmaScheduler : public Scheduler {
     return queues_.values();
   }
 
-  /// Per-slot optimality certificate: gap 0 for exact solves, the certified
-  /// coarsening gap when coarsen_units > 1 (validated against the Theorem 1
-  /// budget by the invariant checker).
+  /// Solve count harvested into RunMetrics: every solve is exact, so each one
+  /// ticks exact_slots.
   [[nodiscard]] const SolveCertificate* solve_certificate() const override {
     return &certificate_;
   }
 
-  /// The exact solver's reuse counters (memo hits, separable-path solves,
-  /// DP solves, warm-start resumed rows) — for benches and tests.
+  /// The exact solver's path counters (separable-path solves, DP solves) —
+  /// for benches and tests.
   [[nodiscard]] const EmaDpWorkspace& dp_workspace() const noexcept { return dp_ws_; }
 
  protected:
@@ -271,7 +187,7 @@ class EmaScheduler : public Scheduler {
   /// costs untouched (the paper's Algorithm 2); PredictiveEmaScheduler adds
   /// its predicted-price deferral term here. Overrides must keep the per-user
   /// cost linear in phi (mutate idle_cost/active_base/slope only) so every
-  /// slot solver — DP, greedy, coarsened — remains applicable, and must not
+  /// slot solver — DP and greedy — remains applicable, and must not
   /// touch the Eq. 16 queue update that follows the solve.
   virtual void adjust_costs(const SlotContext& ctx, EmaSlotCosts& costs);
 
@@ -289,7 +205,6 @@ class EmaScheduler : public Scheduler {
   LyapunovQueues queues_;
   EmaSlotCosts costs_ws_;
   EmaDpWorkspace dp_ws_;
-  EmaCoarseWorkspace coarse_ws_;
 };
 
 }  // namespace jstream

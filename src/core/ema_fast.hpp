@@ -51,7 +51,7 @@ class EmaFastScheduler final : public EmaScheduler {
   [[nodiscard]] std::string name() const override { return "ema-fast"; }
 
   /// The greedy solver is a heuristic without an optimality bound, so it
-  /// publishes no certificate (the base class would claim gap 0).
+  /// publishes no certificate (the base class would count exact solves).
   [[nodiscard]] const SolveCertificate* solve_certificate() const override {
     return nullptr;
   }

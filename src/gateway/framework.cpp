@@ -78,11 +78,6 @@ const SlotOutcome& Framework::run_slot(std::int64_t slot,
   const bool validate = analysis::validation_enabled();
   if (validate) {
     validator_.check_allocation(last_ctx_, last_alloc_, scheduler_->virtual_queues());
-    // Approximate solvers must also stay inside their certified error budget
-    // (Theorem 1 slack; see docs/PERFORMANCE.md "EMA at scale").
-    if (const SolveCertificate* cert = scheduler_->solve_certificate()) {
-      validator_.check_certificate(last_ctx_.slot, cert->last_gap);
-    }
   }
 
   if (fault_hook_ != nullptr) fault_hook_->reconcile_allocation(last_ctx_, last_alloc_);

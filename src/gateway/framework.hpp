@@ -75,14 +75,6 @@ class Framework {
   void attach_fault_hook(SlotFaultHook* hook) noexcept { fault_hook_ = hook; }
   [[nodiscard]] const SlotFaultHook* fault_hook() const noexcept { return fault_hook_; }
 
-  /// Per-slot budget for a scheduler's certified optimality gap, in slot
-  /// objective units. The Simulator sets this to the Theorem 1 drift bound B
-  /// so that, under --validate, an approximate EMA solve whose certificate
-  /// exceeds the slack the paper's analysis tolerates fails loudly.
-  void set_certified_gap_budget(double budget) noexcept {
-    validator_.set_gap_budget(budget);
-  }
-
  private:
   InfoCollector collector_;
   std::unique_ptr<Scheduler> scheduler_;

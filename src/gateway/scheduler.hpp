@@ -16,18 +16,10 @@
 namespace jstream {
 
 /// Optimality certificate for schedulers that solve the per-slot problem
-/// approximately but can bound the error. `last_gap` is a per-slot upper
-/// bound, in the slot objective's units, on cost(decision) - cost(optimum):
-/// 0 when the solve was exact, a certified Lagrangian duality gap when the
-/// EMA coarsening mode is active (see docs/PERFORMANCE.md, "EMA at scale").
-/// The invariant checker compares `last_gap` against the Theorem 1 drift
-/// bound B under --validate; the aggregate fields feed RunMetrics.
+/// exactly (the EMA DP): a count of exact slot solves since reset, harvested
+/// into RunMetrics::cert_exact_slots at run end.
 struct SolveCertificate {
-  double last_gap = 0.0;          ///< certified gap of the most recent slot
-  double gap_sum = 0.0;           ///< sum of certified gaps since reset
-  double gap_max = 0.0;           ///< worst per-slot certified gap since reset
-  std::int64_t certified_slots = 0;  ///< slots solved with a nonzero-gap certificate
-  std::int64_t exact_slots = 0;      ///< slots solved exactly (gap == 0)
+  std::int64_t exact_slots = 0;  ///< slots solved exactly
 };
 
 /// Per-slot data allocation policy.
@@ -67,9 +59,8 @@ class Scheduler {
   /// Eq. 16 shadow recursion (see src/analysis/invariant_checker.hpp).
   [[nodiscard]] virtual std::span<const double> virtual_queues() const { return {}; }
 
-  /// Optimality certificate of the per-slot solves, for schedulers that can
-  /// bound their approximation error (the EMA family). Null for schedulers
-  /// without one; exact solvers report gap 0.
+  /// Optimality certificate of the per-slot solves, for schedulers that
+  /// solve the slot problem exactly (EMA). Null for schedulers without one.
   [[nodiscard]] virtual const SolveCertificate* solve_certificate() const {
     return nullptr;
   }

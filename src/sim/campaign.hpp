@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "sim/sweep.hpp"
+#include "sim/experiment.hpp"
 #include "sim/trace_cache.hpp"
 
 namespace jstream {
@@ -47,10 +47,11 @@ struct CampaignOptions {
     const ScenarioConfig& base, std::span<const CampaignSeries> series,
     std::size_t replications);
 
-/// Runs every spec on the pool (order-preserving, same contract as run_sweep)
-/// with the channel substrate shared through the trace cache. With
-/// `use_trace_cache` off each cell generates its own trace — same results,
-/// bit for bit; this is the baseline the perf gate measures against.
+/// Runs every spec on the pool with the channel substrate shared through the
+/// trace cache. Order-preserving: result i is spec i, bit-identical to
+/// run_experiment(specs[i], keep_series). With `use_trace_cache` off each
+/// cell generates its own trace — same results, bit for bit; this is the
+/// baseline the perf gate measures against.
 [[nodiscard]] std::vector<RunMetrics> run_campaign(
     std::span<const ExperimentSpec> specs, const CampaignOptions& options = {});
 

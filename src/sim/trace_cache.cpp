@@ -211,10 +211,15 @@ std::shared_ptr<const SignalTraceSet> TraceCache::get_or_generate(
       const bool promoted = set != nullptr;
       if (!promoted) set = generate_signal_trace_set(config);
       promise.set_value(set);
+      TraceStore* late_spill = nullptr;
       {
         const std::lock_guard lock(mutex_);
         ++(promoted ? promotions_ : generations_);
+        // Evicted while still in flight: evict_locked could not spill it, so
+        // persist it here instead of losing it until the next cold miss.
+        if (!promoted && !index_.contains(key)) late_spill = store_;
       }
+      if (late_spill != nullptr) late_spill->put(trace_key_fingerprint(key), *set);
       if (promoted && telemetry::enabled()) probes.promotions.add();
     } catch (...) {
       promise.set_exception(std::current_exception());
@@ -293,9 +298,8 @@ void TraceCache::evict_locked(std::vector<SpillItem>& spill) {
     const Entry& victim = lru_.back();
     // Spill completed victims so the persistent tier can answer the next
     // miss. An entry whose generation is still in flight is dropped without
-    // spilling — its future holder finishes the work; by then the entry is
-    // gone from the index, and spill_resident at end of run will not see it
-    // either, which only costs a regeneration on some future cold miss.
+    // spilling — its future holder finishes the work and, finding the entry
+    // gone from the index, spills the result itself.
     if (store_ != nullptr &&
         victim.future.wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready) {

@@ -166,10 +166,11 @@ TEST(ZeroAllocSlot, SoaRebuildSteadyStateIsAllocationFree) {
 }
 
 TEST(ZeroAllocSlot, EmaWarmStartReuseEngagesWithoutAllocating) {
-  // The cross-slot reuse layers (memo, separable path, checkpointed DP) keep
-  // all their state in grow-only workspace buffers: the steady state must be
-  // allocation-free even while the reuse machinery is actively saving and
-  // consuming warm state every slot.
+  // The scheduler's DP workspace is reused slot after slot by both solver
+  // paths (separable fast path, full DP) and keeps only grow-only buffers:
+  // once warm, the steady state must be allocation-free whichever path
+  // answers. Each solve counts on at most one path (a slot with nothing to
+  // grant returns before either).
   auto scheduler = std::make_unique<EmaScheduler>();
   const EmaScheduler* ema = scheduler.get();
   auto endpoints = make_endpoints({-65.0, -75.0, -85.0, -95.0, -105.0}, 400.0, 1e9);
@@ -179,28 +180,9 @@ TEST(ZeroAllocSlot, EmaWarmStartReuseEngagesWithoutAllocating) {
   (void)allocations_over_slots(framework, endpoints, bs, 0, 50);
   EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, 50, 200), 0u);
   const EmaDpWorkspace& ws = ema->dp_workspace();
-  EXPECT_GT(ws.dp_solves + ws.separable_hits + ws.memo_hits, 0);
-  EXPECT_EQ(ema->solve_certificate()->certified_slots, 0);  // exact mode
-}
-
-TEST(ZeroAllocSlot, EmaCoarsenedSteadyStateIsAllocationFree) {
-  // Certified coarsening (coarsen_units = 8): coarse instance build, coarse
-  // DP, refinement and the Lagrangian certificate all run out of the
-  // scheduler's grow-only coarse workspace.
-  EmaConfig config;
-  config.coarsen_units = 8;
-  auto scheduler = std::make_unique<EmaScheduler>(config);
-  const EmaScheduler* ema = scheduler.get();
-  auto endpoints = make_endpoints({-65.0, -75.0, -85.0, -95.0, -105.0}, 400.0, 1e9);
-  const BaseStation bs(2000.0);
-  Framework framework(make_collector(), std::move(scheduler),
-                      SchedulingMode::kEnergyMinimization, endpoints.size());
-  (void)allocations_over_slots(framework, endpoints, bs, 0, 50);
-  EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, 50, 200), 0u);
-  const SolveCertificate* cert = ema->solve_certificate();
-  ASSERT_NE(cert, nullptr);
-  EXPECT_EQ(cert->exact_slots + cert->certified_slots, 250);
-  EXPECT_GE(cert->gap_max, 0.0);
+  EXPECT_GT(ws.dp_solves + ws.separable_hits, 0);
+  EXPECT_LE(ws.dp_solves + ws.separable_hits, 250);
+  EXPECT_EQ(ema->solve_certificate()->exact_slots, 250);
 }
 
 TEST(ZeroAllocSlot, FaultedSlotPathIsAllocationFree) {

@@ -2,8 +2,8 @@
 // running any scheduler against the precomputed trace substrate must be
 // bit-identical — slots run, every per-user total, and every per-slot series
 // — to the plain per-run path that drives the SignalModels incrementally.
-// On top of that, run_campaign must agree with run_sweep cell for cell, and
-// the grid builder must order specs rep-major.
+// On top of that, run_campaign must agree with serial run_experiment calls
+// cell for cell, and the grid builder must order specs rep-major.
 
 #include "sim/campaign.hpp"
 
@@ -16,8 +16,8 @@
 namespace jstream {
 namespace {
 
-ScenarioConfig small_scenario(std::uint64_t seed = 11) {
-  ScenarioConfig config = paper_scenario(/*users=*/8, seed);
+ScenarioConfig small_scenario(std::uint64_t seed = 11, std::size_t users = 8) {
+  ScenarioConfig config = paper_scenario(users, seed);
   config.max_slots = 300;
   return config;
 }
@@ -87,7 +87,7 @@ TEST(Campaign, GridIsRepMajor) {
   }
 }
 
-TEST(Campaign, MatchesSweepCellForCell) {
+TEST(Campaign, MatchesSerialExperimentsCellForCell) {
   const std::vector<CampaignSeries> series = {
       {"default", "default", {}},
       {"rtma", "rtma", {}},
@@ -96,8 +96,10 @@ TEST(Campaign, MatchesSweepCellForCell) {
   const std::vector<ExperimentSpec> specs =
       make_campaign_grid(small_scenario(), series, /*replications=*/2);
 
-  const std::vector<RunMetrics> swept =
-      run_sweep(specs, /*threads=*/2, /*keep_series=*/true);
+  std::vector<RunMetrics> serial;
+  for (const ExperimentSpec& spec : specs) {
+    serial.push_back(run_experiment(spec, /*keep_series=*/true));
+  }
 
   TraceCache cache;
   CampaignOptions options;
@@ -106,13 +108,61 @@ TEST(Campaign, MatchesSweepCellForCell) {
   options.cache = &cache;
   const std::vector<RunMetrics> campaign = run_campaign(specs, options);
 
-  ASSERT_EQ(campaign.size(), swept.size());
+  ASSERT_EQ(campaign.size(), serial.size());
   for (std::size_t i = 0; i < campaign.size(); ++i) {
-    expect_identical_runs(swept[i], campaign[i], specs[i].label);
+    expect_identical_runs(serial[i], campaign[i], specs[i].label);
   }
   // 2 replications over one scenario: one generation per seed, rest hits.
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(specs.size()) - 2u);
+}
+
+TEST(Campaign, MatchesSequentialExecution) {
+  // Cacheless parallel execution: every cell regenerates its own trace.
+  std::vector<ExperimentSpec> specs;
+  specs.push_back({"default", "default", small_scenario(7, 3), {}});
+  specs.push_back({"throttling", "throttling", small_scenario(7, 3), {}});
+  CampaignOptions options;
+  options.threads = 2;
+  options.use_trace_cache = false;
+  const std::vector<RunMetrics> parallel = run_campaign(specs, options);
+  ASSERT_EQ(parallel.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const RunMetrics sequential = run_experiment(specs[i], false);
+    EXPECT_DOUBLE_EQ(parallel[i].total_energy_mj(), sequential.total_energy_mj());
+    EXPECT_DOUBLE_EQ(parallel[i].total_rebuffer_s(), sequential.total_rebuffer_s());
+  }
+}
+
+TEST(Campaign, PreservesSpecOrder) {
+  // Specs of different sizes, so a reordered result is visible.
+  std::vector<ExperimentSpec> specs;
+  for (std::size_t users : {2UL, 4UL, 6UL}) {
+    specs.push_back({"default", "default", small_scenario(1, users), {}});
+  }
+  CampaignOptions options;
+  options.threads = 2;
+  const std::vector<RunMetrics> results = run_campaign(specs, options);
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(results[i].per_user.size(), specs[i].scenario.users);
+  }
+}
+
+TEST(Campaign, EmptyBatchIsFine) {
+  const std::vector<ExperimentSpec> specs;
+  EXPECT_TRUE(run_campaign(specs).empty());
+}
+
+TEST(Campaign, KeepSeriesFlagForwarded) {
+  const std::vector<ExperimentSpec> specs{
+      {"default", "default", small_scenario(5), {}}};
+  CampaignOptions without;
+  without.threads = 1;
+  CampaignOptions with = without;
+  with.keep_series = true;
+  EXPECT_TRUE(run_campaign(specs, without)[0].slot_energy_mj.empty());
+  EXPECT_FALSE(run_campaign(specs, with)[0].slot_energy_mj.empty());
 }
 
 TEST(Campaign, UncachedModeMatchesCachedMode) {
