@@ -17,6 +17,9 @@ namespace {
 
 struct EmaTelemetry {
   telemetry::Counter& allocations;
+  telemetry::Counter& solve_separable;
+  telemetry::Counter& solve_dp;
+  telemetry::Counter& dp_cells;
   telemetry::Histogram& solve_latency_us;
   telemetry::Histogram& queue_level_s;
   telemetry::Gauge& queue_max_s;
@@ -29,6 +32,9 @@ struct EmaTelemetry {
     static const std::vector<double> queue_edges =
         telemetry::linear_buckets(-8.0, 0.5, 33);
     static EmaTelemetry probes{registry.counter("ema.allocations"),
+                               registry.counter("ema.solve.separable"),
+                               registry.counter("ema.solve.dp"),
+                               registry.counter("ema.dp.cells"),
                                registry.histogram("ema.solve_latency_us"),
                                registry.histogram("ema.queue_level_s", queue_edges),
                                registry.gauge("ema.queue.max_s"),
@@ -43,18 +49,49 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// fit use the narrow table, halving the DP's dominant write bandwidth.
 constexpr std::int64_t kNarrowChoiceMax = 32767;
 
-/// Relative tie margin of the separable fast path: decisions are taken
-/// separably only when every per-user comparison clears this fraction of the
-/// instance's total cost magnitude. The full DP's accumulated FP error is
-/// bounded by ~n*eps*scale (~2e-13*scale at n=1000), so any allocation that
-/// deviates from a margin-separated separable optimum costs strictly more in
-/// the DP's own arithmetic too — the fast path is bit-identical, not just
-/// approximately right. Near-tie instances fall back to the full DP.
+/// Relative tie margin floor of the separable fast path and the cap
+/// reduction (see ema_tie_margin).
 constexpr double kSeparableMarginRel = 1e-12;
 
+/// Grows `v` to at least `size` elements; never shrinks, so a long-lived
+/// workspace stops allocating (and re-zeroing) once it has seen its largest
+/// instance.
+template <typename Vec>
+void grow_to(Vec& v, std::size_t size) {
+  if (v.size() < size) v.resize(size);
+}
+
+/// Sizes the packed choice table for `cells` entries. No content carries
+/// from one solve to the next, so a table that is too small is released
+/// before its replacement is reserved: never copied, never held twice. The
+/// reservation leaves 2x headroom, capped at `bound` (the unreduced
+/// n x width size); pages past the cells the rows write stay untouched.
+template <typename T>
+void size_choice_table(std::vector<T>& table, std::size_t cells, std::size_t bound) {
+  if (table.capacity() < cells) {
+    table.clear();
+    table.shrink_to_fit();
+    table.reserve(std::max(cells, std::min(bound, 2 * cells)));
+  }
+  grow_to(table, cells);
+}
+
+/// Sum of the per-user cost magnitudes: bounds |cost| of every allocation,
+/// and so every DP cell value.
+double cost_scale(const EmaSlotCosts& costs, std::span<const std::int64_t> caps) {
+  const double* JSTREAM_RESTRICT idle = costs.idle_cost.data();
+  const double* JSTREAM_RESTRICT base = costs.active_base.data();
+  const double* JSTREAM_RESTRICT slope = costs.slope.data();
+  double scale = 0.0;
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    scale += std::abs(idle[i]) + std::abs(base[i]) +
+             std::abs(slope[i]) * as_double(caps[i]);
+  }
+  return scale;
+}
+
 struct DpBound {
-  std::int64_t m_max = 0;   ///< min(capacity, sum caps): last reachable column
-  std::int64_t cap_max = 0; ///< largest per-user cap (choice-table width)
+  std::int64_t m_max = 0;  ///< min(capacity, sum caps): last reachable column
 };
 
 /// Common validation + bound computation for the DP entry points.
@@ -66,40 +103,26 @@ DpBound dp_bound(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
           "cost/cap size mismatch");
   require(capacity_units >= 0, "capacity must be non-negative");
   std::int64_t cap_sum = 0;
-  std::int64_t cap_max = 0;
   for (std::int64_t c : caps) {
     require(c >= 0, "caps must be non-negative");
     cap_sum += c;
-    cap_max = std::max(cap_max, c);
   }
-  return {std::min(capacity_units, cap_sum), cap_max};
+  return {std::min(capacity_units, cap_sum)};
 }
 
 /// Separable exact fast path. When the sum of unconstrained per-user optima
 /// fits under m_max, constraint (2) is slack at the optimum, the DP
-/// decomposes per user, and the answer is O(N). Every decision must clear a
-/// tie margin (see kSeparableMarginRel) or the caller falls back to the full
-/// DP, so the result — including all tie-breaks — is bit-identical to the
+/// decomposes per user, and the answer is O(N). Every decision must clear the
+/// tie margin (see ema_tie_margin) or the caller falls back to the full DP,
+/// so the result — including all tie-breaks — is bit-identical to the
 /// deque/reference solvers. Writes into `out` (pre-zeroed); on false the
 /// caller must re-zero `out`.
 bool try_separable(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
-                   std::int64_t m_max, std::vector<std::int64_t>& out) {
+                   std::int64_t m_max, double margin, std::vector<std::int64_t>& out) {
   const std::size_t n = caps.size();
   const double* JSTREAM_RESTRICT idle = costs.idle_cost.data();
   const double* JSTREAM_RESTRICT base = costs.active_base.data();
   const double* JSTREAM_RESTRICT slope = costs.slope.data();
-  double scale = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    scale += std::abs(idle[i]) + std::abs(base[i]) +
-             std::abs(slope[i]) * as_double(caps[i]);
-  }
-  if (scale == 0.0) {
-    // Every cost is exactly zero: all allocations tie, and the DP's
-    // tie-breaks (strict-improvement scans, smallest argmin M) resolve to the
-    // all-idle decision.
-    return true;
-  }
-  const double margin = kSeparableMarginRel * scale;
   std::int64_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t cap = caps[i];
@@ -120,6 +143,46 @@ bool try_separable(const EmaSlotCosts& costs, std::span<const std::int64_t> caps
   return true;
 }
 
+struct CapReduction {
+  std::int64_t cap_sum = 0;  ///< sum of effective caps
+  std::int64_t cap_max = 0;  ///< largest effective cap (choice-table width)
+  std::int64_t reduced = 0;  ///< users whose cap the pass cut
+};
+
+/// Margin-guarded per-user cap reduction (the exchange argument is in
+/// solve_min_cost_dp). Writes each user's effective cap into `eff`:
+///   * 0 when idling beats every grant by more than the margin,
+///     idle < min(active(1), active(cap)) - margin (active is linear in phi,
+///     so its minimum over [1, cap] sits at an endpoint);
+///   * 1 when slope > margin: each unit past the first costs more than the
+///     margin;
+///   * the cap itself otherwise.
+CapReduction reduce_caps(const EmaSlotCosts& costs, std::span<const std::int64_t> caps,
+                         double margin, std::int64_t* JSTREAM_RESTRICT eff) {
+  const double* JSTREAM_RESTRICT idle = costs.idle_cost.data();
+  const double* JSTREAM_RESTRICT base = costs.active_base.data();
+  const double* JSTREAM_RESTRICT slope = costs.slope.data();
+  CapReduction r;
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    const std::int64_t cap = caps[i];
+    std::int64_t e = cap;
+    if (cap > 0) {
+      const double active_min =
+          std::min(base[i] + slope[i] * 1.0, base[i] + slope[i] * as_double(cap));
+      if (idle[i] < active_min - margin) {
+        e = 0;
+      } else if (slope[i] > margin) {
+        e = 1;
+      }
+    }
+    eff[i] = e;
+    r.cap_sum += e;
+    r.cap_max = std::max(r.cap_max, e);
+    if (e < cap) ++r.reduced;
+  }
+  return r;
+}
+
 /// One DP row: sliding-window minimum over j in [m - cap, m - 1] of
 /// key(j) = prev[j] - slope*j via a monotone deque, ties kept at the larger j
 /// (smaller phi), candidate evaluated as prev[j] + base + slope*phi — the
@@ -133,6 +196,9 @@ bool try_separable(const EmaSlotCosts& costs, std::span<const std::int64_t> caps
 /// here and lost to the deque (its running-min scans are serial dependences
 /// and its auxiliary arrays triple the memory traffic), so the deque kernel
 /// is the production row.
+///
+/// Column m reads only prev[0..m] and columns before it, so running the row
+/// over a prefix [0, width) computes exactly the cells a wider row would.
 template <typename ChoiceT>
 void dp_row(const double* JSTREAM_RESTRICT prev, double* JSTREAM_RESTRICT cur,
             ChoiceT* JSTREAM_RESTRICT g, std::size_t width, std::int64_t cap,
@@ -206,7 +272,31 @@ void backtrack(const double* final_row, const std::vector<ChoiceT>& choice,
   }
 }
 
+/// backtrack over the packed choice table: row i holds its reachable prefix
+/// at [row_offset[i], row_offset[i + 1]). Every cell on the backtracked path
+/// is finite, hence reachable, so the lookups stay inside their rows.
+template <typename ChoiceT>
+void backtrack_packed(const double* final_row, const ChoiceT* choice,
+                      const std::size_t* row_offset, std::size_t n,
+                      std::vector<std::int64_t>& out) {
+  const std::size_t width = row_offset[n] - row_offset[n - 1];
+  std::size_t m = 0;
+  for (std::size_t candidate = 1; candidate < width; ++candidate) {
+    if (final_row[candidate] < final_row[m]) m = candidate;
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    const auto phi = std::int64_t{choice[row_offset[i] + m]};
+    out[i] = phi;
+    m -= checked_size(phi);
+  }
+}
+
 }  // namespace
+
+double ema_tie_margin(std::size_t users, double scale) noexcept {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  return scale * std::max(kSeparableMarginRel, 4.0 * as_double(users) * kEps);
+}
 
 EmaSlotCosts compute_ema_slot_costs(const SlotContext& ctx,
                                     const LyapunovQueues& queues, double v_weight) {
@@ -272,8 +362,7 @@ void solve_min_cost_dp(const EmaSlotCosts& costs, std::span<const std::int64_t> 
                        std::int64_t capacity_units, EmaDpWorkspace& ws,
                        Allocation& out) {
   const std::size_t n = caps.size();
-  const DpBound bound = dp_bound(costs, caps, capacity_units);
-  const std::int64_t m_max = bound.m_max;
+  const std::int64_t m_max = dp_bound(costs, caps, capacity_units).m_max;
   out.units.assign(n, 0);
   // Fast path: nothing can be granted, so the all-idle allocation is the only
   // feasible point; skip the DP tables entirely.
@@ -281,39 +370,84 @@ void solve_min_cost_dp(const EmaSlotCosts& costs, std::span<const std::int64_t> 
   require(m_max < std::numeric_limits<std::int32_t>::max(),
           "capacity exceeds DP index range");
 
-  // Margin-guarded separable solve (see try_separable).
-  if (try_separable(costs, caps, m_max, out.units)) {
+  auto& probes = EmaTelemetry::instance();
+  const double scale = cost_scale(costs, caps);
+  // Every cost exactly zero: all allocations tie, and the DP's tie-breaks
+  // (strict-improvement scans, smallest argmin M) resolve to all-idle.
+  // Otherwise try the margin-guarded separable solve (see try_separable).
+  const double margin = ema_tie_margin(n, scale);
+  if (scale == 0.0 || try_separable(costs, caps, m_max, margin, out.units)) {
     ++ws.separable_hits;
+    probes.solve_separable.add();
     return;
   }
   std::fill(out.units.begin(), out.units.end(), 0);
 
-  const std::size_t width = checked_size(m_max) + 1;
-  const bool narrow = bound.cap_max <= kNarrowChoiceMax;
-  ws.prev.resize(width);
-  ws.cur.resize(width);
-  ws.window_key.resize(width);
-  ws.deque.resize(width);
+  // Cap reduction, exact by an exchange argument. A path that grants
+  // phi >= 2 to a user with slope > margin, or phi >= 1 to an idle-dominant
+  // user, has a twin that grants that user 1 (resp. 0) units and leaves the
+  // others alone: it ends at a smaller-or-equal M and costs more than
+  // `margin` less. The margin bounds the DP's accumulated FP error, so no
+  // such path is the DP's chosen path or ties with it in the DP's own
+  // arithmetic. Dropping those options only raises the values of cells that
+  // lose every comparison on the chosen path, so every comparison and
+  // tie-break on that path resolves as before and the result is
+  // bit-identical to the full DP. m_max and the narrow/wide table choice use
+  // the effective caps.
+  grow_to(ws.eff_cap, n);
+  std::int64_t* eff = ws.eff_cap.data();
+  const CapReduction red = reduce_caps(costs, caps, margin, eff);
+  ws.reduced_rows += red.reduced;
+  const std::size_t width = checked_size(std::min(capacity_units, red.cap_sum)) + 1;
+  const bool narrow = red.cap_max <= kNarrowChoiceMax;
+
+  // Row i only computes its reachable prefix [0, min(width - 1, sum_{k<=i}
+  // eff_k)]: every column past it is +inf (no path reaches it), its choice is
+  // 0, and the backtrack never reads it. The choice table packs those
+  // prefixes at row_offset[i]; row_offset[n] is the table's size.
+  grow_to(ws.row_offset, n + 1);
+  std::size_t* row_offset = ws.row_offset.data();
+  std::size_t cells = 0;
+  std::size_t reach = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    row_offset[i] = cells;
+    reach = std::min(width - 1, reach + checked_size(eff[i]));
+    cells += reach + 1;
+  }
+  row_offset[n] = cells;
+
+  grow_to(ws.prev, width);
+  grow_to(ws.cur, width);
+  grow_to(ws.window_key, width);
+  grow_to(ws.deque, width);
   // g(i, M): best phi_i when the first i+1 users received M units in total.
+  const std::size_t bound = n * (checked_size(m_max) + 1);
   if (narrow) {
-    ws.choice16.resize(n * width);
+    size_choice_table(ws.choice16, cells, bound);
   } else {
-    ws.choice.resize(n * width);
+    size_choice_table(ws.choice, cells, bound);
   }
 
+  // Both rows start all +inf: a row writes only its reachable prefix, which
+  // never shrinks from one row to the next, so each buffer stays +inf past
+  // the prefix it last held.
   double* prev = ws.prev.data();
   double* cur = ws.cur.data();
   std::fill_n(prev, width, kInf);
+  std::fill_n(cur, width, kInf);
   prev[0] = 0.0;
 
   ++ws.dp_solves;
+  probes.solve_dp.add();
+  probes.dp_cells.add(checked_index(cells));
   for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t len = row_offset[i + 1] - row_offset[i];
     if (narrow) {
-      dp_row<std::int16_t>(prev, cur, &ws.choice16[i * width], width, caps[i],
+      dp_row<std::int16_t>(prev, cur, &ws.choice16[row_offset[i]], len, eff[i],
                            costs.idle_cost[i], costs.active_base[i],
                            costs.slope[i], ws.window_key.data(), ws.deque.data());
     } else {
-      dp_row<std::int32_t>(prev, cur, &ws.choice[i * width], width, caps[i],
+      dp_row<std::int32_t>(prev, cur, &ws.choice[row_offset[i]], len, eff[i],
                            costs.idle_cost[i], costs.active_base[i],
                            costs.slope[i], ws.window_key.data(), ws.deque.data());
     }
@@ -321,9 +455,9 @@ void solve_min_cost_dp(const EmaSlotCosts& costs, std::span<const std::int64_t> 
   }
 
   if (narrow) {
-    backtrack<std::int16_t>(prev, ws.choice16, n, width, out.units);
+    backtrack_packed<std::int16_t>(prev, ws.choice16.data(), row_offset, n, out.units);
   } else {
-    backtrack<std::int32_t>(prev, ws.choice, n, width, out.units);
+    backtrack_packed<std::int32_t>(prev, ws.choice.data(), row_offset, n, out.units);
   }
 }
 

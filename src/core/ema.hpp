@@ -24,10 +24,14 @@
 //   * a tie-margin-guarded separable fast path: when every user's
 //     unconstrained optimum fits under the capacity — the common case at
 //     large N — the coupled DP provably decomposes per user, O(N) total;
-//   * otherwise the full DP, one row kernel call per user: rows stream over
-//     cache-line-aligned SoA lanes (common/simd.hpp) with restrict-qualified
-//     pointers, and the per-row choice table narrows to int16 whenever every
-//     cap fits, halving the DP's dominant store traffic.
+//   * otherwise the full DP, one row kernel call per user. An O(N) pass
+//     first cuts each user's cap where an exchange argument clears the same
+//     tie margin (idle-dominant users to 0, slope > margin to 1), and each
+//     row computes only its reachable prefix [0, sum of effective caps so
+//     far]. Rows stream over cache-line-aligned SoA lanes (common/simd.hpp)
+//     with restrict-qualified pointers, and the packed per-row choice table
+//     narrows to int16 whenever every effective cap fits, halving the DP's
+//     dominant store traffic.
 //     (A branch-free block prefix/suffix window-minimum was evaluated and
 //     lost to the deque — its running-min scans are serial dependences and
 //     its auxiliary arrays triple the row's memory traffic — so the monotone
@@ -108,16 +112,31 @@ struct EmaDpWorkspace {
   simd::AlignedVec<double> cur;         ///< DP row including user i
   simd::AlignedVec<double> window_key;  ///< sliding-window keys prev[j] - slope*j
   std::vector<std::int32_t> deque;      ///< monotone deque (indices into window_key)
-  /// g(i, M): best phi_i given M total units. The narrow table halves the
-  /// dominant write bandwidth of the DP and is used whenever every cap fits
-  /// in 16 bits; `choice` is the wide fallback.
+  std::vector<std::int64_t> eff_cap;    ///< per-user caps after the cap reduction
+  /// Start of row i in the packed choice table (n + 1 entries; the last is
+  /// the table's size). Row i stores only its reachable prefix.
+  std::vector<std::size_t> row_offset;
+  /// g(i, M): best phi_i given M total units, rows packed at row_offset. The
+  /// narrow table halves the dominant write bandwidth of the DP and is used
+  /// whenever every effective cap fits in 16 bits; `choice` is the wide
+  /// fallback (and the deque solver's full-width table).
   std::vector<std::int16_t> choice16;
   std::vector<std::int32_t> choice;
 
   // --- telemetry-visible counters (reset by the owner if desired) --------
   std::int64_t separable_hits = 0; ///< solves answered by the separable path
   std::int64_t dp_solves = 0;      ///< solves that ran DP rows
+  std::int64_t reduced_rows = 0;   ///< DP rows whose cap the reduction cut
 };
+
+/// Tie margin of the exact solver's shortcuts (separable path, cap
+/// reduction) for `users` users whose per-user cost magnitudes sum to
+/// `scale`: scale * max(1e-12, 4 * users * eps). The DP's accumulated FP
+/// error is bounded by ~users * eps * scale, so a decision that clears the
+/// margin resolves the same way in the DP's own arithmetic. The relative
+/// floor governs up to ~1100 users; past that the n-proportional term keeps
+/// the margin above the error bound.
+[[nodiscard]] double ema_tie_margin(std::size_t users, double scale) noexcept;
 
 /// Exact minimizer of sum_i cost(i, phi_i) s.t. phi_i in [0, caps[i]] and
 /// sum phi_i <= capacity_units (Algorithm 2's problem). Bit-identical to

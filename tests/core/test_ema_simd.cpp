@@ -7,14 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/ema.hpp"
 #include "net/allocation.hpp"
 #include "common/units.hpp"
+#include "telemetry/registry.hpp"
 
 namespace jstream {
 namespace {
@@ -82,6 +85,85 @@ Instance slack_instance(Rng& rng, std::size_t users, std::int64_t max_cap) {
   }
   inst.capacity = cap_sum + rng.uniform_int(0, max_cap);
   return inst;
+}
+
+// A DP slot shaped like ema-static-n1000's: N in [min_users, max_users],
+// about 75% positive slopes (users that want one unit or none), caps up to
+// `max_cap`, and a capacity near a quarter of the cap sum so constraint (2)
+// binds. One user in ten copies its neighbor's costs (forced exact ties).
+Instance static_shaped_instance(Rng& rng, std::size_t min_users, std::size_t max_users,
+                                std::int64_t max_cap) {
+  Instance inst;
+  const auto n = checked_size(
+      rng.uniform_int(checked_index(min_users), checked_index(max_users)));
+  inst.costs.idle_cost.resize(n);
+  inst.costs.active_base.resize(n);
+  inst.costs.slope.resize(n);
+  inst.caps.resize(n);
+  std::int64_t cap_sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    inst.costs.idle_cost[i] = rng.uniform(0.0, 5.0);
+    inst.costs.active_base[i] =
+        rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : rng.uniform(0.0, 2.0);
+    inst.costs.slope[i] =
+        rng.uniform(0.0, 1.0) < 0.75 ? rng.uniform(0.0, 3.0) : rng.uniform(-1.0, 0.0);
+    if (i > 0 && rng.uniform(0.0, 1.0) < 0.1) {
+      inst.costs.idle_cost[i] = inst.costs.idle_cost[i - 1];
+      inst.costs.active_base[i] = inst.costs.active_base[i - 1];
+      inst.costs.slope[i] = inst.costs.slope[i - 1];
+    }
+    inst.caps[i] = rng.uniform(0.0, 1.0) < 0.02 ? 0 : rng.uniform_int(1, max_cap);
+    cap_sum += inst.caps[i];
+  }
+  inst.capacity = cap_sum / 4 + rng.uniform_int(0, max_cap);
+  return inst;
+}
+
+double instance_margin(const Instance& inst) {
+  double scale = 0.0;
+  for (std::size_t i = 0; i < inst.caps.size(); ++i) {
+    scale += std::abs(inst.costs.idle_cost[i]) + std::abs(inst.costs.active_base[i]) +
+             std::abs(inst.costs.slope[i]) * as_double(inst.caps[i]);
+  }
+  return ema_tie_margin(inst.caps.size(), scale);
+}
+
+// Moves about one user in six onto a boundary of the cap reduction or the
+// separable path: |slope| at 1/2, 1 or 2 tie margins (either sign), the
+// idle-minus-best-active gap at +-1/2, 1 or 2 margins, or idle == active(1)
+// exactly. The margin depends on the instance's scale, which the snapping
+// moves, so the snap is re-applied until it settles.
+void snap_near_margin(Rng& rng, Instance& inst) {
+  struct Snap {
+    std::size_t user;
+    int kind;       // 0: slope, 1: idle-active gap, 2: idle == active(1)
+    double factor;  // signed multiple of the margin
+  };
+  const double factors[] = {0.5, 1.0, 2.0};
+  std::vector<Snap> snaps;
+  for (std::size_t i = 0; i < inst.caps.size(); ++i) {
+    if (inst.caps[i] == 0 || rng.uniform(0.0, 1.0) >= 1.0 / 6.0) continue;
+    const double sign = rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+    const double factor = factors[checked_size(rng.uniform_int(0, 2))];
+    snaps.push_back({i, static_cast<int>(rng.uniform_int(0, 2)), sign * factor});
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    const double margin = instance_margin(inst);
+    for (const Snap& snap : snaps) {
+      const std::size_t i = snap.user;
+      const double base = inst.costs.active_base[i];
+      double& slope = inst.costs.slope[i];
+      if (snap.kind == 0) {
+        slope = snap.factor * margin;
+      } else {
+        const double active_one = base + slope;
+        const double active_cap = base + slope * as_double(inst.caps[i]);
+        inst.costs.idle_cost[i] =
+            snap.kind == 2 ? active_one
+                           : std::min(active_one, active_cap) + snap.factor * margin;
+      }
+    }
+  }
 }
 
 void expect_identical_units(const Allocation& got, const Allocation& want,
@@ -178,6 +260,92 @@ TEST(EmaSimdSolver, SeparableFastPathBitIdenticalToReference) {
   EXPECT_GT(separable_before, 0);
 }
 
+// The cap reduction and reachable-prefix rows on instances shaped like the
+// N = 1000 slots that run the full DP, with users snapped onto the margin
+// boundaries: unit-exact against the deque solver, and the reduction must
+// actually cut rows.
+TEST(EmaSimdSolver, CapReductionOnStaticShapedSlotsMatchesDeque) {
+  Rng rng(4242);
+  EmaDpWorkspace fast_ws;
+  EmaDpWorkspace deque_ws;
+  Allocation fast;
+  Allocation deque_out;
+  for (int trial = 0; trial < 40; ++trial) {
+    Rng trial_rng = rng.split(static_cast<std::uint64_t>(trial));
+    Instance inst = static_shaped_instance(trial_rng, 200, 1000, 40);
+    if (trial % 2 == 1) snap_near_margin(trial_rng, inst);
+    solve_min_cost_dp(inst.costs, inst.caps, inst.capacity, fast_ws, fast);
+    solve_min_cost_dp_deque(inst.costs, inst.caps, inst.capacity, deque_ws,
+                            deque_out);
+    expect_identical_units(fast, deque_out, trial, "static-shaped-vs-deque");
+  }
+  EXPECT_GT(fast_ws.dp_solves, 30);
+  EXPECT_GT(fast_ws.reduced_rows, 0);
+}
+
+// Small instances where every user sits near a margin boundary or in a
+// forced exact tie, many times over: the reduction must never cut an option
+// the deque solver's chosen path (or its tie-breaks) depends on.
+TEST(EmaSimdSolver, CapReductionNearMarginMatchesDequeAndReference) {
+  Rng rng(777);
+  EmaDpWorkspace fast_ws;
+  EmaDpWorkspace deque_ws;
+  Allocation fast;
+  Allocation deque_out;
+  for (int trial = 0; trial < 3000; ++trial) {
+    Rng trial_rng = rng.split(static_cast<std::uint64_t>(trial));
+    Instance inst = trial % 2 == 0 ? static_shaped_instance(trial_rng, 1, 16, 12)
+                                   : random_instance(trial_rng, 16, 12);
+    snap_near_margin(trial_rng, inst);
+    solve_min_cost_dp(inst.costs, inst.caps, inst.capacity, fast_ws, fast);
+    solve_min_cost_dp_deque(inst.costs, inst.caps, inst.capacity, deque_ws,
+                            deque_out);
+    expect_identical_units(fast, deque_out, trial, "near-margin-vs-deque");
+    const Allocation ref =
+        solve_min_cost_dp_reference(inst.costs, inst.caps, inst.capacity);
+    ASSERT_NEAR(total_cost(inst.costs, fast), total_cost(inst.costs, ref), 1e-9)
+        << "trial " << trial;
+  }
+  EXPECT_GT(fast_ws.dp_solves, 1000);
+  EXPECT_GT(fast_ws.reduced_rows, 0);
+}
+
+// The tie margin keeps its relative 1e-12 floor at the populations the
+// golden and benchmark runs use, and grows with n past ~1100 users so it
+// stays above the DP's ~n*eps*scale FP error bound.
+TEST(EmaSimdSolver, TieMarginFloorAndPopulationTerm) {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  EXPECT_EQ(ema_tie_margin(1000, 1.0), 1e-12);
+  EXPECT_EQ(ema_tie_margin(1000, 250.0), 250.0 * 1e-12);
+  EXPECT_EQ(ema_tie_margin(1, 3.0), 3.0 * 1e-12);
+  EXPECT_EQ(ema_tie_margin(110000, 2.0), 2.0 * (4.0 * 110000.0 * kEps));
+  EXPECT_GT(ema_tie_margin(110000, 1.0), 1e-12);
+}
+
+// The solver-path counters reach the telemetry registry: one separable or
+// DP tick per solve, and the DP's computed cells.
+TEST(EmaSimdSolver, SolvePathCountersReachRegistry) {
+  auto& registry = telemetry::global_registry();
+  const std::int64_t separable0 = registry.counter("ema.solve.separable").value();
+  const std::int64_t dp0 = registry.counter("ema.solve.dp").value();
+  const std::int64_t cells0 = registry.counter("ema.dp.cells").value();
+  Rng rng(31);
+  const Instance slack = slack_instance(rng, 12, 10);
+  EmaDpWorkspace ws;
+  Allocation out;
+  solve_min_cost_dp(slack.costs, slack.caps, slack.capacity, ws, out);
+  const Instance bound = static_shaped_instance(rng, 300, 300, 40);
+  solve_min_cost_dp(bound.costs, bound.caps, bound.capacity, ws, out);
+  ASSERT_EQ(ws.separable_hits, 1);
+  ASSERT_EQ(ws.dp_solves, 1);
+  EXPECT_EQ(registry.counter("ema.solve.separable").value() - separable0, 1);
+  EXPECT_EQ(registry.counter("ema.solve.dp").value() - dp0, 1);
+  const std::int64_t cells = registry.counter("ema.dp.cells").value() - cells0;
+  EXPECT_GT(cells, 0);
+  // Reachable prefixes only: never more than the full n x (capacity + 1).
+  EXPECT_LE(cells, 300 * (bound.capacity + 1));
+}
+
 // An all-zero-cost instance ties every allocation; the DP's tie-breaks pick
 // all-idle, and the separable path must reproduce exactly that.
 TEST(EmaSimdSolver, AllZeroCostsResolveToAllIdle) {
@@ -242,9 +410,12 @@ TEST(EmaSimdSolver, WarmStartSequenceMatchesColdSolves) {
         cap_sum += inst.caps[i];
       }
       if (wide) {
-        // Pin one cap past the int16 range so the wide table is required.
+        // Pin one cap past the int16 range on a user that wants all of it
+        // (negative slope, so the cap reduction keeps the cap) so the wide
+        // table is required.
         const auto i = checked_size(rng.uniform_int(0, checked_index(n) - 1));
         inst.caps[i] = 40000;
+        inst.costs.slope[i] = -std::abs(inst.costs.slope[i]) - 0.05;
       }
       inst.capacity = cap_sum / 3 + 1;
     }

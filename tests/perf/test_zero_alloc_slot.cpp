@@ -178,9 +178,16 @@ TEST(ZeroAllocSlot, EmaWarmStartReuseEngagesWithoutAllocating) {
   Framework framework(make_collector(), std::move(scheduler),
                       SchedulingMode::kEnergyMinimization, endpoints.size());
   (void)allocations_over_slots(framework, endpoints, bs, 0, 50);
-  EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, 50, 200), 0u);
   const EmaDpWorkspace& ws = ema->dp_workspace();
-  EXPECT_GT(ws.dp_solves + ws.separable_hits, 0);
+  const std::int64_t dp_warm = ws.dp_solves;
+  const std::int64_t reduced_warm = ws.reduced_rows;
+  EXPECT_EQ(allocations_over_slots(framework, endpoints, bs, 50, 200), 0u);
+  // Both paths answered solves (the separable ones during warm-up: it keeps
+  // no buffers), and the full DP — cap reduction, packed choice table — ran
+  // inside the allocation-free window.
+  EXPECT_GT(ws.separable_hits, 0);
+  EXPECT_GT(ws.dp_solves - dp_warm, 0);
+  EXPECT_GT(ws.reduced_rows - reduced_warm, 0);
   EXPECT_LE(ws.dp_solves + ws.separable_hits, 250);
   EXPECT_EQ(ema->solve_certificate()->exact_slots, 250);
 }
