@@ -7,11 +7,7 @@
 //
 //     recovered = (E_ema - E_pred) / (E_ema - E_oracle)
 //
-// where E_oracle is the offline transportation bound (sim/oracle.hpp). The
-// oracle-assisted per-user Lookahead scheduler (Proteus/Bartendr-style) runs
-// as a comparator: cross-user predictive EMA recovers headroom that per-user
-// prefetching cannot (crest capacity is shared, and Eq. 5 never charges a
-// pace-every-slot policy the RRC tails the lookahead's refills pay).
+// where E_oracle is the offline transportation bound (sim/oracle.hpp).
 //
 // With --validate every slot passes the paper-invariant checker AND (at the
 // full horizon only; REPRO_SLOTS runs report without gating) the bench
@@ -26,7 +22,6 @@
 #include "analysis/invariant_checker.hpp"
 #include "bench_util.hpp"
 #include "common/error.hpp"
-#include "core/lookahead.hpp"
 #include "core/predictive_ema.hpp"
 #include "sim/fault.hpp"
 #include "sim/forecast.hpp"
@@ -157,19 +152,6 @@ int run(int argc, const char* const* argv) {
   }
   table.print();
 
-  // Per-user prefetch comparator on the benign scenario (perfect forecast).
-  {
-    const auto forecast = make_signal_forecast(benign, benign.max_slots);
-    LookaheadConfig config;
-    config.horizon_slots = 300;
-    const RunMetrics m = simulate(
-        benign, std::make_unique<LookaheadScheduler>(config, forecast), false);
-    std::printf("\nlookahead H=300 (per-user prefetch comparator): "
-                "PE %.1f mJ/us, PC %.1f ms/us\n",
-                m.avg_energy_per_user_slot_mj(),
-                1000.0 * m.avg_rebuffer_per_user_slot_s());
-  }
-
   std::printf("\nReading: the crest credit and deferral terms shift units toward\n"
               "the cheap slots the forecast exposes, so long-horizon cells recover\n"
               "all of the oracle's headroom and then some (best benign sigma=0\n"
@@ -178,10 +160,7 @@ int run(int argc, const char* const* argv) {
               "bound on the true optimum. On this periodic channel moderate sigma\n"
               "barely dents (and via price-space convexity can even inflate) the\n"
               "horizon-mean credit, so long-horizon sweeps are robust to noise;\n"
-              "faults and stale feedback attenuate but do not erase the gain. The\n"
-              "per-user lookahead, by contrast, oversubscribes crest capacity and\n"
-              "pays RRC tails on its safety refills — cross-user scheduling keeps\n"
-              "the advantage even with prediction on both sides.\n",
+              "faults and stale feedback attenuate but do not erase the gain.\n",
               100.0 * benign_perfect_best);
 
   if (analysis::validation_enabled() && args.slots >= 10000) {

@@ -85,6 +85,9 @@ if [[ "${SKIP_SMOKE:-0}" != 1 ]]; then
   # arms at full scale (REPRO_SLOTS unset); at 50 slots the run still
   # exercises the forecast plumbing end to end. See docs/PREDICTION.md.
   REPRO_SLOTS=50 build/bench/bench_prediction --validate > /dev/null
+  # ABR gate: segmented clients ride Framework::run_slot, so every ABR slot of
+  # every (capacity, policy, scheduler) cell passes the validator.
+  REPRO_SLOTS=50 build/bench/bench_abr_study --validate > /dev/null
   ctest --test-dir build --output-on-failure -L session -LE smoke
   ctest --test-dir build --output-on-failure -L golden
 else

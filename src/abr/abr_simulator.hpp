@@ -1,8 +1,11 @@
-// ABR simulation: the gateway substrate (signal, link, RRC, capacity, the
-// Scheduler interface) reused with segmented adaptive-bitrate clients instead
-// of fixed-rate sessions. Any jstream::Scheduler can serve ABR traffic — the
-// cross-layer snapshot simply reports the rate of the representation each
-// client is currently downloading.
+// ABR simulation: segmented adaptive-bitrate clients served by the same
+// gateway slot engine as the paper's fixed-rate sessions. simulate_abr builds
+// the scenario's endpoints, attaches one AbrClient per endpoint as its content
+// model (gateway/user_endpoint.hpp), and runs the batch Simulator's loop over
+// them, so ABR slots get the validator, the fault layer, the backhaul limit,
+// telemetry and the allocation-free slot path. Any jstream::Scheduler can
+// serve ABR traffic: the cross-layer snapshot reports the rate of the
+// representation each client is currently downloading.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +22,7 @@ namespace jstream {
 /// ABR-specific scenario knobs layered on a base ScenarioConfig (whose video
 /// size fields are ignored — content is defined by duration and the ladder).
 struct AbrScenarioConfig {
-  ScenarioConfig base;                   ///< radio/link/capacity/users/seed
+  ScenarioConfig base;                   ///< radio/link/capacity/users/seed/faults
   double duration_min_s = 400.0;         ///< content duration range (uniform)
   double duration_max_s = 900.0;
   double segment_s = 4.0;                ///< DASH-style segment length

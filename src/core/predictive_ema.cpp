@@ -73,8 +73,7 @@ void PredictiveEmaScheduler::build_price_tables(const PowerModel& power) {
       prices[m] = power.energy_per_kb(trace[m]);
     }
     const std::size_t base = user * table_slots_;
-    // Beyond the last forecast sample the window clamps to it (the same
-    // convention LookaheadScheduler::best_future_price uses).
+    // Beyond the last forecast sample the window clamps to it.
     best_price_[base + table_slots_ - 1] = prices[table_slots_ - 1];
     best_offset_[base + table_slots_ - 1] = 1;
     // Monotone-deque sliding-window minimum over (n, n + H], walked right to

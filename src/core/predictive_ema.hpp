@@ -40,7 +40,7 @@
 //
 // Forecasts come from make_signal_forecast (sim/forecast.hpp) — perfect or
 // through the tunable error model; the scheduler itself is forecast-agnostic
-// and lives below the sim layer, exactly like LookaheadScheduler.
+// and lives below the sim layer.
 #pragma once
 
 #include <cstdint>

@@ -89,15 +89,11 @@ void DataTransmitter::apply_into(const SlotContext& ctx, const Allocation& alloc
       kb = std::min(ctx.params.units_to_kb(phi), info.remaining_kb);
       const double fetched = receiver.fetch_from_origin(i, kb);
       receiver.drain(i, fetched);
-      kb = fetched;
+      // A segmented client may consume less than it is offered (a
+      // down-switch at a segment boundary shrinks what is left); only the
+      // consumed bytes cost energy and airtime.
+      kb = endpoint.deliver(fetched);
       out.trans_mj[i] = info.energy_per_kb * kb;
-      endpoint.delivered_kb += kb;
-      // Convert bytes to playback time on the content timeline so that
-      // delivering the whole file yields exactly M_i even for VBR sessions.
-      const double playback_s = endpoint.session.advance_playback(
-          endpoint.content_time_s, kb);
-      endpoint.content_time_s += playback_s;
-      endpoint.buffer.deliver(playback_s);
       // The transfer occupies d/v seconds of the slot at link rate; the
       // remainder is tail residue charged by the RRC machine.
       active_s = std::min(kb / info.throughput_kbps, ctx.params.tau_s);

@@ -2,8 +2,8 @@
 //
 // Applies the Scheduler's allocation: validates it against constraints (1)
 // and (2), stages the bytes through the Data Receiver, charges transmission
-// energy (Eq. 3) or tail energy (Eq. 4) per user, and hands the shard's
-// playback time to the client buffer.
+// energy (Eq. 3) or tail energy (Eq. 4) per user, and hands the bytes to the
+// endpoint, which turns them into buffered playback (UserEndpoint::deliver).
 #pragma once
 
 #include <cstdint>

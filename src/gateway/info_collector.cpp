@@ -59,7 +59,7 @@ void InfoCollector::collect_into(std::int64_t slot, std::span<UserEndpoint> endp
     }
     // The rate the scheduler must sustain is that of the content at the
     // delivery frontier (identical to the wall-clock rate for CBR sessions).
-    info.bitrate_kbps = endpoint.session.bitrate_at_time(endpoint.content_time_s);
+    info.bitrate_kbps = endpoint.frontier_rate_kbps();
     info.remaining_kb = endpoint.remaining_kb();
     info.needs_data = info.arrived && !info.departed && info.remaining_kb > 0.0;
     info.link_units = params_.link_units(info.throughput_kbps);

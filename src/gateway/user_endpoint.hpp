@@ -1,6 +1,12 @@
 // Per-user simulation state bundled for the gateway framework: the radio
 // channel, the streaming session, the client playback buffer, and the RRC
 // machine that accounts tail energy.
+//
+// The endpoint is also the one place that knows how content turns into
+// playback. The InfoCollector asks it for the frontier rate and the remaining
+// KB, and the DataTransmitter hands it each slot's bytes through deliver().
+// A CBR/VBR session is handled inline; a segmented client (the ABR
+// simulator's AbrClient) plugs in as a ContentModel.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +20,24 @@
 #include "radio/signal_trace.hpp"
 
 namespace jstream {
+
+/// A content model other than the endpoint's own CBR/VBR session: a
+/// segmented client that decides what the bytes it receives are worth.
+class ContentModel {
+ public:
+  virtual ~ContentModel() = default;
+
+  /// Rate the gateway must sustain at the delivery frontier, KB/s.
+  [[nodiscard]] virtual double frontier_rate_kbps() const = 0;
+
+  /// Content still to be delivered, KB (0 once the download is complete).
+  [[nodiscard]] virtual double remaining_kb() const = 0;
+
+  /// Accepts up to `kb` of this slot's delivery, registers the playback it
+  /// completes in `buffer`, and returns the KB actually consumed (at most
+  /// `kb`).
+  virtual double deliver(double kb, PlaybackBuffer& buffer) = 0;
+};
 
 /// One mobile user as seen by the gateway.
 struct UserEndpoint {
@@ -46,6 +70,10 @@ struct UserEndpoint {
   const SignalTraceSet* trace = nullptr;
   std::size_t trace_user = 0;  ///< this endpoint's row in `trace`
 
+  /// Segmented content model replacing `session` (non-owning; whoever
+  /// attaches it keeps it alive for the run). Null = the CBR/VBR session.
+  ContentModel* content = nullptr;
+
   void attach_trace(const SignalTraceSet* trace_set, std::size_t user) noexcept {
     trace = trace_set;
     trace_user = user;
@@ -72,14 +100,40 @@ struct UserEndpoint {
   /// Stamp the departure slot (kNeverSlot clears it).
   void depart_at(std::int64_t slot) noexcept { departure_slot = slot; }
 
+  /// Rate of the content at the delivery frontier, KB/s (identical to the
+  /// wall-clock rate for CBR sessions).
+  [[nodiscard]] double frontier_rate_kbps() const {
+    return content != nullptr ? content->frontier_rate_kbps()
+                              : session.bitrate_at_time(content_time_s);
+  }
+
   /// Content still to be delivered, KB.
-  [[nodiscard]] double remaining_kb() const noexcept {
-    return session.size_kb() - delivered_kb;
+  [[nodiscard]] double remaining_kb() const {
+    return content != nullptr ? content->remaining_kb()
+                              : session.size_kb() - delivered_kb;
+  }
+
+  /// Takes `kb` of this slot's delivery and returns the KB consumed, which
+  /// is what the slot's energy, delivered bytes and RRC airtime count. The
+  /// CBR/VBR session consumes everything it is offered.
+  double deliver(double kb) {
+    if (content != nullptr) {
+      const double consumed = content->deliver(kb, buffer);
+      delivered_kb += consumed;
+      return consumed;
+    }
+    delivered_kb += kb;
+    // Convert bytes to playback time on the content timeline so that
+    // delivering the whole file yields exactly M_i even for VBR sessions.
+    const double playback_s = session.advance_playback(content_time_s, kb);
+    content_time_s += playback_s;
+    buffer.deliver(playback_s);
+    return kb;
   }
 
   /// True while the user still needs scheduling: content left to deliver or
   /// playback still running.
-  [[nodiscard]] bool active() const noexcept {
+  [[nodiscard]] bool active() const {
     return remaining_kb() > 0.0 || !buffer.playback_finished();
   }
 };

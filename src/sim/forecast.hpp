@@ -1,7 +1,7 @@
 // Signal forecasting: the deterministic per-user signal trajectories a
 // scenario will produce (perfect prediction), plus a tunable forecast error
 // model for studying how prediction quality degrades a predictive scheduler
-// (core/predictive_ema.hpp, core/lookahead.hpp) against the offline oracle
+// (core/predictive_ema.hpp) against the offline oracle
 // bound (sim/oracle.hpp).
 //
 // The error model is seed-pure: noisy forecasts are a deterministic function

@@ -6,8 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
-#include "net/base_station.hpp"
-#include "sim/fault.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/scoped_timer.hpp"
 
@@ -29,59 +27,72 @@ struct SimulatorTelemetry {
   }
 };
 
-}  // namespace
-
-Simulator::Simulator(ScenarioConfig config, std::unique_ptr<Scheduler> scheduler,
-                     SchedulingMode mode, std::shared_ptr<const SignalTraceSet> trace)
-    : config_(std::move(config)),
-      scheduler_(std::move(scheduler)),
-      mode_(mode),
-      trace_(std::move(trace)) {
-  validate(config_);
-  require(scheduler_ != nullptr, "simulator needs a scheduler");
-  if (trace_ != nullptr) {
-    require(trace_->users() == config_.users, "trace population mismatch");
-    require(trace_->slots() >= config_.max_slots, "trace shorter than the horizon");
-    require(trace_->link_derived(), "trace is missing the derived link matrices");
-  }
+ScenarioConfig validated(ScenarioConfig config) {
+  validate(config);
+  return config;
 }
 
-RunMetrics Simulator::run(bool keep_series) {
-  std::vector<UserEndpoint> endpoints = build_endpoints(config_);
+}  // namespace
+
+std::int64_t tail_flush_slots(const ScenarioConfig& cell) {
+  return ceil_to_count(cell.radio.tail_duration_s() / cell.slot.tau_s) + 1;
+}
+
+CellGateway::CellGateway(const ScenarioConfig& cell, std::unique_ptr<Scheduler> scheduler,
+                         SchedulingMode mode, std::shared_ptr<const SignalTraceSet> trace)
+    : bs_(capacity_profile(cell)),
+      framework_(InfoCollector(cell.slot, cell.link, cell.radio), std::move(scheduler),
+                 mode, cell.users,
+                 cell.backhaul_kbps > 0.0 ? cell.backhaul_kbps
+                                          : std::numeric_limits<double>::infinity()),
+      trace_(std::move(trace)) {
   if (trace_ != nullptr) {
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      endpoints[i].attach_trace(trace_.get(), i);
-    }
+    require(trace_->users() == cell.users, "trace population mismatch");
+    require(trace_->slots() >= cell.max_slots, "trace shorter than the horizon");
+    require(trace_->link_derived(), "trace is missing the derived link matrices");
   }
-  const BaseStation bs(capacity_profile(config_));
-  InfoCollector collector(config_.slot, config_.link, config_.radio);
-  const double backhaul = config_.backhaul_kbps > 0.0
-                              ? config_.backhaul_kbps
-                              : std::numeric_limits<double>::infinity();
-  Framework framework(std::move(collector), std::move(scheduler_), mode_,
-                      config_.users, backhaul);
   // Degraded-cell faults: the schedule is a pure function of the config, so
   // cached-trace and live runs fault identically; an inactive config attaches
   // nothing and leaves the slot path byte-for-byte unfaulted.
-  std::unique_ptr<FaultInjector> fault_injector;
-  if (config_.faults.any()) {
-    fault_injector = std::make_unique<FaultInjector>(
-        std::make_shared<const FaultSchedule>(make_fault_schedule(config_)));
-    // Mid-stream aborts ride the session-departure path: the schedule's drawn
-    // slots are stamped on the endpoints, the collector raises the departed
-    // flag, and the injector only does its fault-local bookkeeping.
-    const FaultSchedule& schedule = fault_injector->schedule();
-    for (std::size_t i = 0; i < endpoints.size(); ++i) {
-      endpoints[i].depart_at(schedule.departure_slot(i));
-    }
-    framework.attach_fault_hook(fault_injector.get());
+  if (cell.faults.any()) {
+    faults_ = std::make_unique<FaultInjector>(
+        std::make_shared<const FaultSchedule>(make_fault_schedule(cell)));
+    framework_.attach_fault_hook(faults_.get());
   }
+}
+
+void CellGateway::bind(std::span<UserEndpoint> endpoints, bool stamp_departures) const {
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    if (trace_ != nullptr) endpoints[i].attach_trace(trace_.get(), i);
+    // Mid-stream aborts ride the session-departure path: the collector
+    // raises the departed flag from the stamped slot, and the injector only
+    // does its fault-local bookkeeping.
+    if (stamp_departures && faults_ != nullptr) {
+      endpoints[i].depart_at(faults_->schedule().departure_slot(i));
+    }
+  }
+}
+
+Simulator::Simulator(ScenarioConfig config, std::unique_ptr<Scheduler> scheduler,
+                     SchedulingMode mode, std::shared_ptr<const SignalTraceSet> trace)
+    : config_(validated(std::move(config))),
+      gateway_(config_, std::move(scheduler), mode, std::move(trace)) {}
+
+RunMetrics Simulator::run(bool keep_series) {
+  std::vector<UserEndpoint> endpoints = build_endpoints(config_);
+  return run(endpoints, keep_series);
+}
+
+RunMetrics Simulator::run(std::span<UserEndpoint> endpoints, bool keep_series) {
+  require(!ran_, "simulator already ran");
+  require(endpoints.size() == config_.users, "one endpoint per user");
+  ran_ = true;
+  gateway_.bind(endpoints, /*stamp_departures=*/true);
+  Framework& framework = gateway_.framework();
+  const BaseStation& bs = gateway_.bs();
   MetricsCollector metrics(config_.users, keep_series);
 
-  // After the last session ends, run a few more slots so outstanding RRC
-  // tails are charged (Eq. 4 energy does not vanish when content runs out).
-  const std::int64_t tail_flush_slots =
-      ceil_to_count(config_.radio.tail_duration_s() / config_.slot.tau_s) + 1;
+  const std::int64_t flush_slots = tail_flush_slots(config_);
   std::int64_t idle_streak = 0;
 
   auto& probes = SimulatorTelemetry::instance();
@@ -98,15 +109,15 @@ RunMetrics Simulator::run(bool keep_series) {
       // A departed user never drains its remaining content, so for early-stop
       // purposes it counts as done the moment it aborts.
       bool all_done = true;
-      for (std::size_t i = 0; i < endpoints.size(); ++i) {
-        if (endpoints[i].departed(slot)) continue;
-        if (endpoints[i].active()) {
+      for (const UserEndpoint& endpoint : endpoints) {
+        if (endpoint.departed(slot)) continue;
+        if (endpoint.active()) {
           all_done = false;
           break;
         }
       }
       idle_streak = all_done ? idle_streak + 1 : 0;
-      if (idle_streak >= tail_flush_slots) break;
+      if (idle_streak >= flush_slots) break;
     }
   }
   probes.slots_total.add(slots_run);

@@ -5,7 +5,7 @@
 //   * fuzzed slot instances: the predictive allocation always satisfies
 //     Eq. 1 (per-user caps) and Eq. 2 (cell capacity), and — the DP being
 //     exact for the adjusted cost model — never costs more than a
-//     lookahead-style greedy heuristic fed the same perfect-forecast prices;
+//     per-user greedy heuristic fed the same perfect-forecast prices;
 //   * the price tables (windowed minimum / offset / window mean) match a
 //     brute-force scan of the forecast.
 #include "core/predictive_ema.hpp"
@@ -127,7 +127,7 @@ TEST(PredictiveEma, PriceTablesMatchBruteForce) {
   }
 }
 
-// --- fuzz: feasibility + DP beats the lookahead-style greedy ---------------
+// --- fuzz: feasibility + DP beats the per-user greedy ----------------------
 
 /// Replays PredictiveEmaScheduler::adjust_costs from its public surface: the
 /// price tables via price_prediction and the documented two-term rule.
@@ -153,7 +153,7 @@ void apply_predictive_adjustment(const PredictiveEmaScheduler& scheduler,
   }
 }
 
-/// Lookahead-flavored greedy on the same adjusted costs: serve users in
+/// Per-user greedy on the same adjusted costs: serve users in
 /// ascending marginal-cost order, each to the per-user extent that improves
 /// its own cost, until the cell capacity runs out. Always feasible, so the
 /// exact DP must never cost more.

@@ -11,6 +11,7 @@
 #include <memory>
 #include <new>
 
+#include "abr/client.hpp"
 #include "baselines/default_scheduler.hpp"
 #include "core/adaptive_rtma.hpp"
 #include "core/ema.hpp"
@@ -148,6 +149,44 @@ TEST(ZeroAllocSlot, RtmaSteadyStateIsAllocationFree) {
 
 TEST(ZeroAllocSlot, AdaptiveRtmaSteadyStateIsAllocationFree) {
   EXPECT_EQ(steady_state_allocs(std::make_unique<AdaptiveRtmaScheduler>()), 0u);
+}
+
+// ABR steady state: every endpoint's content model is a buffer-based
+// AbrClient whose title outlasts the run, so segments complete and the next
+// segment's quality is selected inside the measured window. Returns the
+// window's allocation count.
+std::uint64_t abr_steady_state_allocs(std::unique_ptr<Scheduler> scheduler) {
+  auto endpoints = make_endpoints({-65.0, -75.0, -85.0, -95.0, -105.0}, 400.0, 1e9);
+  std::vector<AbrClient> clients;
+  clients.reserve(endpoints.size());
+  for (UserEndpoint& endpoint : endpoints) {
+    clients.emplace_back(1e5, 4.0, QualityLadder({300.0, 375.0, 450.0, 525.0, 600.0}),
+                         make_quality_selector("buffer-based"), 1.0, 0.2);
+    clients.back().attach(endpoint);
+  }
+  const auto played_kb = [&clients] {
+    double total = 0.0;
+    for (const AbrClient& client : clients) total += client.qoe().quality_seconds_kbps;
+    return total;
+  };
+  const BaseStation bs(2000.0);
+  Framework framework(make_collector(), std::move(scheduler),
+                      SchedulingMode::kEnergyMinimization, endpoints.size());
+  (void)allocations_over_slots(framework, endpoints, bs, 0, 50);
+  const double played_before = played_kb();
+  const std::uint64_t allocs = allocations_over_slots(framework, endpoints, bs, 50, 200);
+  EXPECT_GT(played_kb(), played_before);  // segments completed in the window
+  return allocs;
+}
+
+TEST(ZeroAllocSlot, AbrRtmaSteadyStateIsAllocationFree) {
+  RtmaConfig config;
+  config.energy_budget_mj = 1000.0;
+  EXPECT_EQ(abr_steady_state_allocs(std::make_unique<RtmaScheduler>(config)), 0u);
+}
+
+TEST(ZeroAllocSlot, AbrEmaSteadyStateIsAllocationFree) {
+  EXPECT_EQ(abr_steady_state_allocs(std::make_unique<EmaScheduler>()), 0u);
 }
 
 TEST(ZeroAllocSlot, SoaRebuildSteadyStateIsAllocationFree) {

@@ -1,6 +1,7 @@
 // Forecast error model (sim/forecast.hpp):
-//   * seed-pure: the same (scenario, spec) always produces the same noisy
-//     forecast, and a zero-error spec is bit-identical to the exact overload;
+//   * seed-pure: the exact overload replays the simulated channel, the same
+//     (scenario, spec) always produces the same noisy forecast, and a
+//     zero-error spec is bit-identical to the exact overload;
 //   * stream discipline: forecast noise draws from its own split Rng root, so
 //     endpoints and the fault schedule replay identically whatever the spec,
 //     and distinct salts / users get independent noise;
@@ -44,6 +45,20 @@ TEST(ForecastNoise, SameSeedSameForecast) {
   const auto b = make_signal_forecast(config, 200, spec);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "user " << i;
+}
+
+TEST(ForecastNoise, ExactForecastMatchesSimulatedSignals) {
+  // The exact overload replays each endpoint's channel slot for slot.
+  const ScenarioConfig config = paper_scenario(3, 13);
+  const auto forecast = make_signal_forecast(config, 100);
+  const auto endpoints = build_endpoints(config);
+  ASSERT_EQ(forecast.size(), 3u);
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    for (std::int64_t slot = 0; slot < 100; ++slot) {
+      ASSERT_DOUBLE_EQ(forecast[i][checked_size(slot)],
+                       endpoints[i].signal->signal_dbm(slot));
+    }
+  }
 }
 
 TEST(ForecastNoise, ZeroErrorBitIdenticalToExact) {
